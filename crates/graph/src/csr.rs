@@ -154,6 +154,62 @@ impl CsrGraph {
         }
     }
 
+    /// An order-preserving message-flow block on `nodes`.
+    ///
+    /// Returns a graph of `nodes.len()` nodes (local id `i` is
+    /// `nodes[i]`) whose first `n_dst` rows are the parent's neighbor
+    /// lists of `nodes[..n_dst]`, mapped to local ids **in the parent's
+    /// order**; the remaining rows are empty. A kernel that walks a
+    /// block row therefore visits the same neighbors in the same order
+    /// as on the parent, which keeps every sum bitwise equal to the
+    /// full-graph one. Unlike [`CsrGraph::induced_subgraph`], local
+    /// rows are **not** id-sorted unless `nodes` is ascending, so
+    /// [`CsrGraph::has_edge`] and [`CsrGraph::validate`] do not apply.
+    ///
+    /// `global_to_local` is caller-owned scratch: it is grown to the
+    /// parent's size with `u32::MAX` ("absent") and is all-absent again
+    /// on return, so one array serves every call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_dst > nodes.len()`, if `nodes` has duplicates or
+    /// out-of-bounds ids, or if a neighbor of a destination row is not
+    /// in `nodes`.
+    pub fn block(&self, nodes: &[usize], n_dst: usize, global_to_local: &mut Vec<u32>) -> CsrGraph {
+        assert!(n_dst <= nodes.len(), "block: n_dst exceeds node count");
+        assert!(
+            nodes.len() < u32::MAX as usize,
+            "block: too many nodes for u32 ids"
+        );
+        if global_to_local.len() < self.num_nodes() {
+            global_to_local.resize(self.num_nodes(), u32::MAX);
+        }
+        for (local, &g) in nodes.iter().enumerate() {
+            assert!(global_to_local[g] == u32::MAX, "block: duplicate node {g}");
+            global_to_local[g] = local as u32;
+        }
+        let mut indptr = Vec::with_capacity(nodes.len() + 1);
+        indptr.push(0usize);
+        let n_edges: usize = nodes[..n_dst].iter().map(|&g| self.degree(g)).sum();
+        let mut indices: Vec<u32> = Vec::with_capacity(n_edges);
+        for &g in &nodes[..n_dst] {
+            for &nb in self.neighbors(g) {
+                let l = global_to_local[nb as usize];
+                assert!(
+                    l != u32::MAX,
+                    "block: neighbor {nb} of {g} is not in the block"
+                );
+                indices.push(l);
+            }
+            indptr.push(indices.len());
+        }
+        indptr.resize(nodes.len() + 1, indices.len());
+        for &g in nodes {
+            global_to_local[g] = u32::MAX;
+        }
+        CsrGraph { indptr, indices }
+    }
+
     /// Connected components; returns `(component_id_per_node,
     /// num_components)`.
     pub fn connected_components(&self) -> (Vec<usize>, usize) {
@@ -369,6 +425,41 @@ mod tests {
     #[should_panic(expected = "duplicate")]
     fn induced_subgraph_rejects_duplicates() {
         path_graph(3).induced_subgraph(&[0, 0]);
+    }
+
+    #[test]
+    fn block_keeps_parent_order_and_leaves_source_rows_empty() {
+        // Star around 2 plus the edge 3-4.
+        let g = CsrGraph::from_edges(5, [(2, 0), (2, 1), (2, 3), (3, 4)]);
+        let mut scratch = Vec::new();
+        // Local order is deliberately not ascending: 2 -> 0, 3 -> 1,
+        // 1 -> 2, 0 -> 3, 4 -> 4.
+        let b = g.block(&[2, 3, 1, 0, 4], 2, &mut scratch);
+        assert_eq!(b.num_nodes(), 5);
+        // Parent row of 2 is [0, 1, 3] -> local [3, 2, 1]: parent order,
+        // not re-sorted.
+        assert_eq!(b.neighbors(0), &[3, 2, 1]);
+        // Parent row of 3 is [2, 4] -> local [0, 4].
+        assert_eq!(b.neighbors(1), &[0, 4]);
+        for v in 2..5 {
+            assert!(b.neighbors(v).is_empty(), "row {v} past n_dst");
+        }
+        assert_eq!(scratch.len(), 5);
+        assert!(scratch.iter().all(|&l| l == u32::MAX), "scratch restored");
+        // The scratch is reusable, and an ascending node set gives the
+        // induced subgraph's rows.
+        let b = g.block(&[0, 1, 2, 3], 3, &mut scratch);
+        let sub = g.induced_subgraph(&[0, 1, 2, 3]);
+        for v in 0..3 {
+            assert_eq!(b.neighbors(v), sub.graph.neighbors(v));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the block")]
+    fn block_rejects_a_neighbor_outside_the_node_set() {
+        // Node 1's neighbor 2 is missing.
+        path_graph(3).block(&[1, 0], 1, &mut Vec::new());
     }
 
     #[test]

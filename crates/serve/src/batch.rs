@@ -13,7 +13,7 @@
 //! "serve whatever is queued right now".
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One node-classification query.
@@ -152,6 +152,23 @@ impl RankQueue {
         self.not_full.notify_all();
     }
 
+    /// Closes the queue and drops every pending query: blocked and
+    /// future pushes return `false`, and the dropped queries' reply
+    /// senders disconnect their receivers. A worker calls this on its
+    /// way out, so a worker that dies mid-batch strands no client.
+    pub(crate) fn close_and_drain(&self) {
+        let pending = {
+            // Runs during unwinding too: a poisoned lock must not turn
+            // the unwind into an abort.
+            let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            st.closed = true;
+            std::mem::take(&mut st.q)
+        };
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
+        drop(pending);
+    }
+
     /// Forms the next batch into `out` (cleared first). Blocks until at
     /// least one query is available, then lingers per `policy` for more
     /// (up to `policy.max_batch`). Returns `false` iff the queue is
@@ -245,6 +262,25 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(!rq.pop_batch(&BatchPolicy::immediate(8), &mut out));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn close_and_drain_drops_pending_replies_and_refuses_pushes() {
+        let rq = RankQueue::bounded(4);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for n in 0..3 {
+            assert!(rq.push(Query {
+                node: n,
+                arrival: Instant::now(),
+                reply: Some(tx.clone()),
+            }));
+        }
+        drop(tx);
+        rq.close_and_drain();
+        assert!(rq.is_empty());
+        assert!(rx.recv().is_err(), "every pending reply sender dropped");
+        assert!(!rq.push(q(9)), "push after close_and_drain must fail");
+        assert!(!rq.pop_batch(&BatchPolicy::immediate(4), &mut Vec::new()));
     }
 
     /// Deterministic via the `push_with` seam: the producer signals

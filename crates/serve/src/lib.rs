@@ -16,7 +16,7 @@
 //!                                               │  batcher (max_batch, linger)
 //!                                               ▼
 //!                                          ShardServer × k
-//!                                     L-hop closure → induced subgraph
+//!                                  L-hop closure → one block per layer
 //!                                       features:  own rows ── store
 //!                                                  remote  ── BoundaryCache
 //!                                                            (miss → owner fetch)

@@ -14,17 +14,25 @@
 //! ## Exactness
 //!
 //! A batch is answered by expanding the L-hop BFS closure of its target
-//! nodes (`L` = model depth), inducing the subgraph on that closure
-//! **sorted by ascending global id**, gathering input features, and
-//! running all `L` layers. This reproduces full-graph logits *bitwise*:
-//! a node at BFS distance `d` from the targets has its complete
-//! neighborhood inside the closure whenever `d < L`, which is exactly
-//! the set of nodes whose layer-`(L-d)` values the targets consume; and
-//! because the closure is sorted ascending, every local CSR row is the
-//! full-graph row filtered in order, so each aggregation sums the same
-//! values in the same order as the full-graph kernel. (Rows at distance
-//! `L` contribute only their layer-0 input features, which are exact by
-//! construction.) `tests/exactness.rs` asserts this against
+//! nodes (`L` = model depth), gathering input features for the whole
+//! closure, and running each layer on a per-layer *block*. The closure
+//! is ordered by BFS distance (targets, then distance 1, …, then
+//! distance `L`, each bucket ascending by global id), so the nodes
+//! within `d` hops are a prefix of it. Layer `l` (0-based) reads the
+//! prefix within `L - l` hops and writes only the prefix within
+//! `L - 1 - l` hops: a node at distance `d` is needed at layer `l` only
+//! if `d < L - l`, and all its neighbors are then within `L - l` hops,
+//! so every row a layer writes sees its complete neighborhood. The
+//! last layer writes only the targets.
+//!
+//! This reproduces full-graph logits *bitwise*. Each block is built by
+//! [`CsrGraph::block`], which maps a node's full-graph neighbor list to
+//! local ids in the full graph's order, so every aggregation sums the
+//! same values in the same order as the full-graph kernel, and the
+//! dense kernels are row-independent. Rows at distance `L` contribute
+//! only their layer-0 input features, which are exact by construction.
+//! The unit tests below and `tests/determinism.rs` assert this for
+//! SAGE, GCN and GAT at 2 and 3 layers against
 //! [`TrainedModel::predict_logits`].
 //!
 //! ## Feature I/O
@@ -153,9 +161,9 @@ impl ServePlan {
             cache,
             epoch: 0,
             mark: vec![0u32; self.graph.num_nodes()],
-            frontier: Vec::new(),
-            next_frontier: Vec::new(),
             closure: Vec::new(),
+            ends: Vec::new(),
+            local: Vec::new(),
         }
     }
 }
@@ -180,9 +188,13 @@ pub struct ShardServer {
     /// dense array instead of a hash set on the hot path).
     epoch: u32,
     mark: Vec<u32>,
-    frontier: Vec<u32>,
-    next_frontier: Vec<u32>,
+    /// The batch's closure in BFS-distance order (see `expand_closure`).
     closure: Vec<usize>,
+    /// `ends[d]` = number of closure nodes within `d` hops.
+    ends: Vec<usize>,
+    /// Global→local scratch for [`CsrGraph::block`]; all `u32::MAX`
+    /// between calls.
+    local: Vec<u32>,
 }
 
 impl ShardServer {
@@ -196,8 +208,12 @@ impl ShardServer {
         self.cache.stats
     }
 
-    /// L-hop BFS closure of `targets`, sorted ascending, into
-    /// `self.closure`. Duplicates in `targets` are fine.
+    /// L-hop BFS closure of `targets` into `self.closure`, ordered by
+    /// BFS distance: the targets, then distance 1, …, then distance
+    /// `L`, each bucket sorted by ascending global id. `self.ends[d]`
+    /// is the end of bucket `d`, so the first `ends[d]` closure rows are
+    /// exactly the nodes within `d` hops. Duplicates in `targets` are
+    /// fine.
     fn expand_closure(&mut self, targets: &[u32]) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -206,34 +222,36 @@ impl ShardServer {
             self.epoch = 1;
         }
         self.closure.clear();
-        self.frontier.clear();
+        self.ends.clear();
         for &t in targets {
             let ti = t as usize;
             if self.mark[ti] != self.epoch {
                 self.mark[ti] = self.epoch;
                 self.closure.push(ti);
-                self.frontier.push(t);
             }
         }
+        self.closure.sort_unstable();
+        self.ends.push(self.closure.len());
+        // The previous bucket is the BFS frontier.
+        let mut lo = 0;
         for _ in 0..self.depth {
-            self.next_frontier.clear();
-            for fi in 0..self.frontier.len() {
-                let v = self.frontier[fi] as usize;
-                for &u in self.graph.neighbors(v) {
+            let hi = self.closure.len();
+            for i in lo..hi {
+                for &u in self.graph.neighbors(self.closure[i]) {
                     let ui = u as usize;
                     if self.mark[ui] != self.epoch {
                         self.mark[ui] = self.epoch;
                         self.closure.push(ui);
-                        self.next_frontier.push(u);
                     }
                 }
             }
-            std::mem::swap(&mut self.frontier, &mut self.next_frontier);
+            self.closure[hi..].sort_unstable();
+            self.ends.push(self.closure.len());
+            lo = hi;
         }
-        self.closure.sort_unstable();
     }
 
-    /// Gathers input features for the sorted closure: owned rows from
+    /// Gathers input features for every closure row: owned rows from
     /// this shard's store, remote rows through the cache (miss = a
     /// fetch from the owning shard's store, counted in bytes).
     fn gather_features(&mut self) -> Matrix {
@@ -265,41 +283,48 @@ impl ShardServer {
     pub fn serve_batch(&mut self, targets: &[u32]) -> Matrix {
         assert!(!targets.is_empty(), "empty batch");
         self.expand_closure(targets);
-        let h0 = self.gather_features();
-        let sub = self.graph.induced_subgraph(&self.closure);
-        let n_sub = self.closure.len();
+        let mut h = self.gather_features();
+        let scale: Vec<f32> = match &*self.model {
+            TrainedModel::Sage(_) => self.closure.iter().map(|&g| self.mean_scale[g]).collect(),
+            TrainedModel::Gcn(_) => self.closure.iter().map(|&g| self.gcn_scale[g]).collect(),
+            TrainedModel::Gat(_) => Vec::new(),
+        };
         // Eval-mode forward: dropout off, so the RNG stream is inert —
         // a fresh fixed-seed RNG keeps the call deterministic anyway.
         let mut rng = SeededRng::new(0);
-        let mut h = h0;
-        match &*self.model {
-            TrainedModel::Sage(m) => {
-                let scale: Vec<f32> = self.closure.iter().map(|&g| self.mean_scale[g]).collect();
-                for layer in &m.layers {
-                    let (next, _) = layer.forward(&sub.graph, &h, n_sub, &scale, false, &mut rng);
-                    h = next;
+        let depth = self.depth;
+        for l in 0..depth {
+            // Layer `l` feeds the nodes within `depth - 1 - l` hops and
+            // reads their neighbors, the nodes within `depth - l` hops.
+            let (n_in, n_out) = (self.ends[depth - l], self.ends[depth - 1 - l]);
+            let block = self
+                .graph
+                .block(&self.closure[..n_in], n_out, &mut self.local);
+            h = match &*self.model {
+                TrainedModel::Sage(m) => {
+                    let scale = &scale[..n_out];
+                    m.layers[l]
+                        .forward(&block, &h, n_out, scale, false, &mut rng)
+                        .0
                 }
-            }
-            TrainedModel::Gat(m) => {
-                for layer in &m.layers {
-                    let (next, _) = layer.forward(&sub.graph, &h, n_sub, false, &mut rng);
-                    h = next;
+                TrainedModel::Gat(m) => m.layers[l].forward(&block, &h, n_out, false, &mut rng).0,
+                // `gcn_aggregate` scales every neighbor, so its
+                // normalizer covers the layer's input rows.
+                TrainedModel::Gcn(layers) => {
+                    let scale = &scale[..n_in];
+                    layers[l]
+                        .forward(&block, &h, n_out, scale, false, &mut rng)
+                        .0
                 }
-            }
-            TrainedModel::Gcn(layers) => {
-                let scale: Vec<f32> = self.closure.iter().map(|&g| self.gcn_scale[g]).collect();
-                for layer in layers {
-                    let (next, _) = layer.forward(&sub.graph, &h, n_sub, &scale, false, &mut rng);
-                    h = next;
-                }
-            }
+            };
         }
         // Route each target (request order, duplicates allowed) to its
-        // closure row.
+        // row in the target bucket.
+        let bucket = &self.closure[..self.ends[0]];
         let rows: Vec<usize> = targets
             .iter()
             .map(|&t| {
-                self.closure
+                bucket
                     .binary_search(&(t as usize))
                     .expect("target is in its own closure")
             })

@@ -14,6 +14,7 @@ use crate::batch::{BatchPolicy, Query, RankQueue};
 use crate::cache::{CacheConfig, CacheStats};
 use crate::latency::{LatencyRecorder, LatencySummary};
 use crate::shard::{ServePlan, ShardServer};
+use bns_tensor::Matrix;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -106,6 +107,13 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Builds every shard (pinning its cache) and spawns the workers.
     pub fn start(plan: &ServePlan, cfg: &ServeConfig) -> ServeEngine {
+        Self::start_with(plan, cfg, ShardServer::serve_batch)
+    }
+
+    /// Seam behind [`ServeEngine::start`]: every worker answers its
+    /// batches with `serve` instead of [`ShardServer::serve_batch`]. A
+    /// test injects a panicking `serve` to exercise worker failure.
+    fn start_with(plan: &ServePlan, cfg: &ServeConfig, serve: ServeFn) -> ServeEngine {
         let started = Instant::now();
         let mut queues = Vec::with_capacity(plan.k);
         let mut handles = Vec::with_capacity(plan.k);
@@ -118,7 +126,7 @@ impl ServeEngine {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("bns-serve-{rank}"))
-                    .spawn(move || worker_loop(server, &q, &policy, threads))
+                    .spawn(move || worker_loop(server, &q, &policy, threads, serve))
                     .expect("spawn shard worker"),
             );
             queues.push(queue);
@@ -137,16 +145,22 @@ impl ServeEngine {
     }
 
     /// Routes a fire-and-forget query to the owning shard, blocking on
-    /// a full queue (backpressure). Returns `false` if that queue was
-    /// already shut down.
+    /// a full queue (backpressure). Returns `false` if `node` is not a
+    /// node of the served graph or that shard's queue was shut down.
     pub fn submit(&self, node: u32, arrival: Instant) -> bool {
         self.submit_query(Query::new(node, arrival))
     }
 
     /// Routes a fully-formed query (e.g. one carrying a reply channel).
+    /// Returns `false`, dropping the query (and so its reply sender),
+    /// if `query.node` is not a node of the served graph or the owning
+    /// shard's queue was shut down — a worker that panicked shuts its
+    /// queue down.
     pub fn submit_query(&self, query: Query) -> bool {
-        let rank = self.owner[query.node as usize] as usize;
-        self.queues[rank].push(query)
+        match self.owner.get(query.node as usize) {
+            Some(&rank) => self.queues[rank as usize].push(query),
+            None => false,
+        }
     }
 
     /// Total queries still waiting in queues.
@@ -157,6 +171,10 @@ impl ServeEngine {
     /// Closes every queue, lets the workers drain, joins them, and
     /// merges their reports. Cache counters are flushed to
     /// `bns-telemetry`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard worker panicked.
     pub fn shutdown(self) -> ServeReport {
         for q in &self.queues {
             q.close();
@@ -189,6 +207,22 @@ impl ServeEngine {
     }
 }
 
+/// How a worker answers one batch; [`ShardServer::serve_batch`] outside
+/// tests.
+type ServeFn = fn(&mut ShardServer, &[u32]) -> Matrix;
+
+/// Closes and drains a worker's queue when the worker exits. After a
+/// normal exit the queue is already closed and empty; after a panic
+/// this is what makes blocked submitters return `false` and pending
+/// reply receivers disconnect instead of waiting forever.
+struct CloseOnExit<'a>(&'a RankQueue);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.close_and_drain();
+    }
+}
+
 /// One shard's serve loop: pop a batch, answer it, charge each query's
 /// latency from its *intended* arrival, deliver replies if requested.
 fn worker_loop(
@@ -196,7 +230,9 @@ fn worker_loop(
     queue: &RankQueue,
     policy: &BatchPolicy,
     threads: usize,
+    serve: ServeFn,
 ) -> ShardReport {
+    let _close = CloseOnExit(queue);
     let _pool = if threads > 1 {
         Some(bns_tensor::pool::install(bns_tensor::ThreadPool::new(
             threads,
@@ -213,7 +249,7 @@ fn worker_loop(
     while queue.pop_batch(policy, &mut batch) {
         nodes.clear();
         nodes.extend(batch.iter().map(|q| q.node));
-        let logits = server.serve_batch(&nodes);
+        let logits = serve(&mut server, &nodes);
         let done = Instant::now();
         for (j, q) in batch.iter().enumerate() {
             latency.record(done.saturating_duration_since(q.arrival));
@@ -245,6 +281,7 @@ mod tests {
     use bns_nn::SageModel;
     use bns_partition::{MetisLikePartitioner, Partitioner};
     use bns_tensor::SeededRng;
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn plan(k: usize) -> (bns_data::Dataset, ServePlan) {
         let ds = SyntheticSpec::reddit_sim().with_nodes(300).generate(23);
@@ -304,6 +341,79 @@ mod tests {
             .collect();
         let got_bits: Vec<u32> = out.row(0).iter().map(|x| x.to_bits()).collect();
         assert_eq!(got_bits, want);
+    }
+
+    #[test]
+    fn out_of_range_node_is_rejected_at_admission() {
+        let (ds, plan) = plan(2);
+        let engine = ServeEngine::start(&plan, &ServeConfig::default());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let t0 = Instant::now();
+        for node in [ds.num_nodes() as u32, u32::MAX] {
+            assert!(!engine.submit(node, t0), "node {node} admitted");
+            assert!(!engine.submit_query(Query {
+                node,
+                arrival: t0,
+                reply: Some(tx.clone()),
+            }));
+        }
+        drop(tx);
+        assert!(rx.recv().is_err(), "a rejected query's reply disconnects");
+        assert!(engine.submit(0, t0), "in-range queries still flow");
+        assert_eq!(engine.shutdown().latency.count(), 1);
+    }
+
+    /// Through the `start_with` seam: every batch panics. The worker's
+    /// exit guard must close and drain its queue, so pending replies
+    /// disconnect and submitters get `false` instead of blocking on a
+    /// queue nobody drains; `shutdown` still reports the panic.
+    #[test]
+    fn a_panicking_worker_strands_no_client() {
+        let (ds, plan) = plan(2);
+        let cfg = ServeConfig {
+            policy: BatchPolicy::immediate(1),
+            queue_capacity: 2,
+            ..Default::default()
+        };
+        let engine = ServeEngine::start_with(&plan, &cfg, |_, _| panic!("injected serve failure"));
+        let v = (0..ds.num_nodes() as u32)
+            .find(|&x| plan.owner_of(x) == 0)
+            .unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        // The client runs on its own thread so a regression fails the
+        // test by timeout instead of hanging the suite.
+        let client = std::thread::spawn(move || {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let t0 = Instant::now();
+            for _ in 0..3 {
+                // The first query kills the worker; the others are
+                // queued (and then drained) or refused.
+                engine.submit_query(Query {
+                    node: v,
+                    arrival: t0,
+                    reply: Some(tx.clone()),
+                });
+            }
+            drop(tx);
+            assert!(rx.recv().is_err(), "no reply can arrive");
+            // At most `queue_capacity` pushes fit before one would
+            // block; the closed queue refuses them all.
+            while engine.submit(v, t0) {}
+            done_tx.send(()).expect("test alive");
+            engine
+        });
+        if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_secs(60)) {
+            panic!("client hung after its shard worker panicked");
+        }
+        let engine = client.join().expect("client thread panicked");
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.shutdown()));
+        let err = joined.expect_err("shutdown must surface the worker panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("shard worker panicked"), "got {msg:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use bns_data::SyntheticSpec;
 use bns_gcn::engine::TrainedModel;
-use bns_nn::{GatModel, SageModel};
+use bns_nn::{Activation, GatModel, GcnLayer, SageModel};
 use bns_partition::{MetisLikePartitioner, Partitioner};
 use bns_serve::{CacheConfig, ServePlan};
 use bns_tensor::pool::{self, ThreadPool};
@@ -49,7 +49,18 @@ fn build(arch: &str) -> (std::sync::Arc<bns_data::Dataset>, ServePlan, Vec<u32>)
     let dims = [ds.feat_dim(), 12, ds.num_classes];
     let model = match arch {
         "sage" => TrainedModel::Sage(SageModel::new(&dims, 0.0, &mut rng)),
+        // Three layers: the middle distance bucket is both read and
+        // written, which two layers never exercise.
+        "sage3" => TrainedModel::Sage(SageModel::new(
+            &[ds.feat_dim(), 12, 10, ds.num_classes],
+            0.0,
+            &mut rng,
+        )),
         "gat" => TrainedModel::Gat(GatModel::new(&dims, 0.0, &mut rng)),
+        "gcn" => TrainedModel::Gcn(vec![
+            GcnLayer::new(dims[0], dims[1], Activation::Relu, 0.0, &mut rng),
+            GcnLayer::new(dims[1], dims[2], Activation::Identity, 0.0, &mut rng),
+        ]),
         _ => unreachable!(),
     };
     let plan = ServePlan::build(&ds, &part, model);
@@ -61,21 +72,42 @@ fn build(arch: &str) -> (std::sync::Arc<bns_data::Dataset>, ServePlan, Vec<u32>)
     (ds, plan, queries)
 }
 
-#[test]
-fn cached_vs_uncached_bitwise_identical_across_threads_and_lanes() {
-    let (ds, plan, queries) = build("sage");
-    // Reference rows, full-graph forward, in per-rank serve order.
-    let mut ref_order: Vec<usize> = Vec::new();
+/// Full-graph reference logits for `queries`, in [`serve_all`]'s
+/// per-rank order.
+fn reference(ds: &bns_data::Dataset, plan: &ServePlan, queries: &[u32]) -> Matrix {
+    let mut order: Vec<usize> = Vec::new();
     for rank in 0..plan.k {
-        ref_order.extend(
+        order.extend(
             queries
                 .iter()
                 .filter(|&&v| plan.owner_of(v) == rank)
                 .map(|&v| v as usize),
         );
     }
-    let reference = plan.model.predict_logits(&ds, &ref_order);
-    let ref_bits = bits(&reference);
+    plan.model.predict_logits(ds, &order)
+}
+
+/// One cached and one uncached leg, each at a few batch sizes, against
+/// the full-graph reference.
+fn assert_serving_matches_reference(arch: &str) {
+    let (ds, plan, queries) = build(arch);
+    let want = bits(&reference(&ds, &plan, &queries));
+    for batch in [1usize, 16] {
+        let warm = serve_all(&plan, CacheConfig::default(), &queries, batch);
+        let cold = serve_all(&plan, CacheConfig::disabled(), &queries, batch);
+        assert_eq!(bits(&warm), bits(&cold), "{arch}: cache changed logits");
+        assert_eq!(
+            bits(&warm),
+            want,
+            "{arch} serving != full graph, batch {batch}"
+        );
+    }
+}
+
+#[test]
+fn cached_vs_uncached_bitwise_identical_across_threads_and_lanes() {
+    let (ds, plan, queries) = build("sage");
+    let ref_bits = bits(&reference(&ds, &plan, &queries));
 
     let cache_axis = [
         CacheConfig::disabled(),
@@ -115,23 +147,20 @@ fn cached_vs_uncached_bitwise_identical_across_threads_and_lanes() {
 
 #[test]
 fn gat_serving_matches_reference_with_and_without_cache() {
-    // GAT's attention softmax is the numerically touchiest path; one
-    // cached-vs-uncached leg keeps it honest.
-    let (ds, plan, queries) = build("gat");
-    let warm = serve_all(&plan, CacheConfig::default(), &queries, 16);
-    let cold = serve_all(&plan, CacheConfig::disabled(), &queries, 16);
-    assert_eq!(bits(&warm), bits(&cold), "cache changed GAT logits");
-    let mut ref_order: Vec<usize> = Vec::new();
-    for rank in 0..plan.k {
-        ref_order.extend(
-            queries
-                .iter()
-                .filter(|&&v| plan.owner_of(v) == rank)
-                .map(|&v| v as usize),
-        );
-    }
-    let reference = plan.model.predict_logits(&ds, &ref_order);
-    assert_eq!(bits(&warm), bits(&reference), "GAT serving != full graph");
+    // GAT's attention softmax is the numerically touchiest path.
+    assert_serving_matches_reference("gat");
+}
+
+#[test]
+fn gcn_serving_matches_reference_with_and_without_cache() {
+    // GCN's normalizer is read on every input row of a layer, not only
+    // on the rows it writes.
+    assert_serving_matches_reference("gcn");
+}
+
+#[test]
+fn three_layer_serving_matches_reference_with_and_without_cache() {
+    assert_serving_matches_reference("sage3");
 }
 
 #[test]
