@@ -3,7 +3,7 @@
 //! the ring all-reduce, SAGE layer forward/backward and one full
 //! distributed training epoch.
 
-use bns_comm::{run_ranks, TrafficClass};
+use bns_comm::{create_world, TrafficClass};
 use bns_data::SyntheticSpec;
 use bns_gcn::engine::{train_with_plan, ModelArch, TrainConfig};
 use bns_gcn::plan::PartitionPlan;
@@ -11,6 +11,7 @@ use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
 use bns_nn::aggregate::scaled_sum_aggregate;
 use bns_nn::{Activation, SageLayer};
 use bns_partition::{MetisLikePartitioner, Partitioner, RandomPartitioner};
+use bns_runtime::{run_tasks, BoxFuture};
 use bns_tensor::pool::{self, ThreadPool};
 use bns_tensor::{Matrix, SeededRng};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -99,12 +100,17 @@ fn bench_boundary_sampling(c: &mut Criterion) {
 fn bench_allreduce(c: &mut Criterion) {
     c.bench_function("ring_allreduce_4ranks_64k_floats", |bch| {
         bch.iter(|| {
-            let out = run_ranks(4, |mut comm| {
-                let mut buf = vec![1.0f32; 65_536];
-                comm.all_reduce_sum(&mut buf);
-                comm.stats().bytes(TrafficClass::AllReduce)
-            });
-            black_box(out)
+            let ranks = create_world(4)
+                .into_iter()
+                .map(|mut comm| -> BoxFuture<'static, u64> {
+                    Box::pin(async move {
+                        let mut buf = vec![1.0f32; 65_536];
+                        comm.all_reduce_sum(&mut buf).await;
+                        comm.stats().bytes(TrafficClass::AllReduce)
+                    })
+                })
+                .collect();
+            black_box(run_tasks(ranks, 4, |_| ()).0)
         });
     });
 }

@@ -1,16 +1,16 @@
-//! Per-rank communication handles, point-to-point messaging and
-//! collectives.
+//! Per-rank communication handles, point-to-point messaging and the
+//! ring all-reduce.
 
-// The mailbox transport (channels, rank threads) goes through
-// `crate::sync`, which resolves to `std` normally and to the vendored
-// loom shims under `--cfg loom` so the protocol can be model-checked
-// exhaustively (tests/loom_mailbox.rs).
-use crate::sync::mpsc::{channel, Receiver, Sender};
-use crate::sync::thread;
+// The mailboxes go through `crate::sync`, which resolves to `std`
+// normally and to the vendored loom shims under `--cfg loom` so the
+// protocol can be model-checked exhaustively (tests/loom_mailbox.rs).
+use crate::sync::{lock, Mutex};
 use crate::{TrafficClass, TrafficStats};
 use std::any::Any;
 use std::collections::VecDeque;
+use std::future::poll_fn;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// Anything that can be sent between ranks with a well-defined wire size.
 ///
@@ -37,292 +37,41 @@ struct Message {
     seq: u64,
 }
 
-/// A tagged message in flight: `(source rank, message)`.
-type Envelope = (usize, Message);
-
-/// Callback invoked after a message lands in a rank's inbox. The
-/// cooperative scheduler registers one per rank so a parked rank task
-/// is marked runnable the moment a peer enqueues for it.
-pub type WakeFn = Arc<dyn Fn() + Send + Sync>;
-
-/// Shared waker slot for one rank's inbox. Senders hold clones of the
-/// *destination's* slot and invoke the registered callback after
-/// enqueuing. Deliberately plain `std` sync even under `--cfg loom`:
-/// the loom mailbox models never register a waker, and a modeled mutex
-/// here would only inflate the checked state space (same policy as the
-/// telemetry counters, DESIGN.md §9).
-type WakerCell = std::sync::Mutex<Option<WakeFn>>;
-
-/// One outgoing edge of the mailbox mesh: the destination's inbox
-/// sender plus the destination's waker slot.
-struct Peer {
-    tx: Sender<Envelope>,
-    waker: Arc<WakerCell>,
+/// One rank's mailbox: envelopes `(source rank, message)` that peers
+/// enqueued and the rank has not sorted yet, plus the waker of a
+/// receive parked on it. One lock covers both, so "nothing matched,
+/// park" and "enqueue, wake the parked receiver" cannot interleave: a
+/// send either lands before the receive's check or finds its waker.
+#[derive(Default)]
+struct Mailbox {
+    queue: VecDeque<(usize, Message)>,
+    waker: Option<Waker>,
 }
 
-/// One rank's endpoint in a simulated world of `world_size` ranks.
-///
-/// Create a full world with [`create_world`] or spawn threads directly
-/// with [`run_ranks`]. Point-to-point messages are matched by `(source,
-/// tag)`; collectives must be invoked by **all ranks in the same order**
-/// (they synchronize internally via sequence-numbered tags).
-///
-/// Delivery uses a single shared inbox per rank (every peer holds a
-/// clone of the same sender), so [`RankComm::recv_any`] can hand back
-/// whichever peer's message lands first. Per-peer FIFO order is still
-/// guaranteed: an mpsc channel preserves the send order of each
-/// individual producer.
-pub struct RankComm {
+/// Messages a rank has taken out of its mailbox but not delivered yet,
+/// per source rank, in arrival order.
+struct Pending {
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     rank: usize,
-    world: usize,
-    to_peer: Vec<Option<Peer>>,
-    inbox: Receiver<Envelope>,
-    /// This rank's own waker slot (peers hold clones via [`Peer`]).
-    waker: Arc<WakerCell>,
-    pending: Vec<VecDeque<Message>>,
-    stats: TrafficStats,
-    coll_seq: u64,
-    /// Per-destination count of messages sent (assigns `Message::seq`).
-    send_seq: Vec<u64>,
+    by_source: Vec<VecDeque<Message>>,
     /// Highest `seq` delivered so far per `(source, tag)` stream, used
     /// by the FIFO invariant check. Only populated in debug builds.
     #[cfg(debug_assertions)]
     delivered_seq: std::collections::HashMap<(usize, u64), u64>,
-    /// Bytes enqueued into peers' mailboxes (mailbox-side accounting).
-    #[cfg(debug_assertions)]
-    mailbox_bytes: u64,
-    /// Bytes recorded into [`TrafficStats`] (stats-side accounting).
-    /// Shadowed separately from the stats themselves because callers
-    /// may reset those between epochs; the two shadow streams must
-    /// agree byte-for-byte after every send.
-    #[cfg(debug_assertions)]
-    recorded_bytes: u64,
 }
 
-impl std::fmt::Debug for RankComm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RankComm {{ rank: {}/{} }}", self.rank, self.world)
-    }
-}
-
-/// Creates all `world_size` communication endpoints.
-///
-/// # Panics
-///
-/// Panics if `world_size == 0`.
-pub fn create_world(world_size: usize) -> Vec<RankComm> {
-    assert!(world_size > 0, "world_size must be positive");
-    // One shared inbox (and waker slot) per rank; senders[i][j] carries
-    // i -> j and is a clone of rank j's inbox sender.
-    let mut senders: Vec<Vec<Option<Peer>>> = (0..world_size)
-        .map(|_| (0..world_size).map(|_| None).collect())
-        .collect();
-    let mut inboxes: Vec<Receiver<Envelope>> = Vec::with_capacity(world_size);
-    let mut wakers: Vec<Arc<WakerCell>> = Vec::with_capacity(world_size);
-    for j in 0..world_size {
-        let (s, r) = channel();
-        let w: Arc<WakerCell> = Arc::new(std::sync::Mutex::new(None));
-        inboxes.push(r);
-        for (i, row) in senders.iter_mut().enumerate() {
-            if i != j {
-                row[j] = Some(Peer {
-                    tx: s.clone(),
-                    waker: Arc::clone(&w),
-                });
+impl Pending {
+    /// Pops the first buffered message with `tag` from the first
+    /// candidate (in `from` order) that has one.
+    fn take_match(&mut self, tag: u64, from: &[usize]) -> Option<(usize, Message)> {
+        for &src in from {
+            if let Some(pos) = self.by_source[src].iter().position(|m| m.tag == tag) {
+                let msg = self.by_source[src].remove(pos).unwrap();
+                self.note_delivery(src, &msg);
+                return Some((src, msg));
             }
         }
-        wakers.push(w);
-    }
-    senders
-        .into_iter()
-        .zip(inboxes)
-        .zip(wakers)
-        .enumerate()
-        .map(|(rank, ((to_peer, inbox), waker))| RankComm {
-            rank,
-            world: world_size,
-            to_peer,
-            inbox,
-            waker,
-            pending: (0..world_size).map(|_| VecDeque::new()).collect(),
-            stats: TrafficStats::new(),
-            coll_seq: 0,
-            send_seq: vec![0; world_size],
-            #[cfg(debug_assertions)]
-            delivered_seq: std::collections::HashMap::new(),
-            #[cfg(debug_assertions)]
-            mailbox_bytes: 0,
-            #[cfg(debug_assertions)]
-            recorded_bytes: 0,
-        })
-        .collect()
-}
-
-/// Spawns one thread per rank, runs `f` on each, and returns the results
-/// in rank order. Panics in any rank propagate.
-pub fn run_ranks<T, F>(world_size: usize, f: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(RankComm) -> T + Send + Sync + 'static,
-{
-    let f = Arc::new(f);
-    let comms = create_world(world_size);
-    let handles: Vec<_> = comms
-        .into_iter()
-        .map(|comm| {
-            let f = Arc::clone(&f);
-            thread::spawn(move || {
-                // One trace timeline (tid) per rank.
-                bns_telemetry::set_thread_rank(comm.rank());
-                f(comm)
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("rank thread panicked"))
-        .collect()
-}
-
-impl RankComm {
-    /// This endpoint's rank id.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks in the world.
-    pub fn world_size(&self) -> usize {
-        self.world
-    }
-
-    /// Traffic sent by this rank so far.
-    pub fn stats(&self) -> &TrafficStats {
-        &self.stats
-    }
-
-    /// Mutable access to the traffic counters (to reset between epochs).
-    pub fn stats_mut(&mut self) -> &mut TrafficStats {
-        &mut self.stats
-    }
-
-    /// Sends `payload` to rank `to` with a user tag.
-    ///
-    /// User tags must be below `2^60`; higher tags are reserved for
-    /// collectives.
-    ///
-    /// # Panics
-    ///
-    /// Panics on self-send, out-of-bounds rank, reserved tag, or if the
-    /// peer has disconnected.
-    pub fn send<T: Wire>(&mut self, to: usize, tag: u64, payload: T, class: TrafficClass) {
-        assert!(tag < COLL_BASE, "tag {tag} is reserved for collectives");
-        self.send_raw(to, tag, payload, class)
-    }
-
-    fn send_raw<T: Wire>(&mut self, to: usize, tag: u64, payload: T, class: TrafficClass) {
-        assert!(to < self.world, "send to rank {to} out of bounds");
-        assert_ne!(to, self.rank, "self-send is not allowed");
-        let bytes = payload.wire_bytes();
-        self.stats.record(class, bytes);
-        #[cfg(debug_assertions)]
-        {
-            self.recorded_bytes += bytes as u64;
-        }
-        bns_telemetry::counter_add("comm.bytes_sent", bytes as u64);
-        bns_telemetry::counter_add(class.counter_name(), bytes as u64);
-        bns_telemetry::counter_add("comm.msgs_sent", 1);
-        let seq = self.send_seq[to];
-        self.send_seq[to] += 1;
-        let msg = Message {
-            tag,
-            // Owned messages are the wire contract, metered by
-            // TrafficStats rather than recycled.
-            // bns-allow(BNS-A005): the envelope boxes each payload once
-            payload: Box::new(payload),
-            bytes,
-            seq,
-        };
-        #[cfg(debug_assertions)]
-        {
-            self.mailbox_bytes += msg.bytes as u64;
-            // Exact byte agreement between the two accounting paths:
-            // what TrafficStats recorded and what the mailbox carries.
-            debug_assert_eq!(
-                self.mailbox_bytes, self.recorded_bytes,
-                "rank {}: mailbox accounting ({} B) diverged from TrafficStats ({} B)",
-                self.rank, self.mailbox_bytes, self.recorded_bytes
-            );
-        }
-        let peer = self.to_peer[to].as_ref().expect("sender missing");
-        peer.tx.send((self.rank, msg)).expect("peer disconnected");
-        // Wake the destination *after* the enqueue so a woken task is
-        // guaranteed to observe the message on its next drain. The
-        // callback is cloned out of the slot before invocation so no
-        // lock is held while running scheduler code.
-        // bns-allow(BNS-A005): waker Arc clone is a refcount bump, no heap growth
-        let wake = peer.waker.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        if let Some(wake) = wake {
-            wake();
-        }
-    }
-
-    /// Registers the callback peers invoke after enqueuing into this
-    /// rank's inbox (see [`WakeFn`]). A task-based caller registers its
-    /// scheduler waker once, before its first receive.
-    pub fn set_waker(&self, wake: WakeFn) {
-        *self.waker.lock().unwrap_or_else(|e| e.into_inner()) = Some(wake);
-    }
-
-    /// Removes any registered waker; subsequent sends to this rank no
-    /// longer invoke a callback.
-    pub fn clear_waker(&self) {
-        *self.waker.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-
-    /// Receives the next message from rank `from` with tag `tag`,
-    /// blocking until it arrives. Messages with other tags from the same
-    /// peer are buffered.
-    ///
-    /// # Panics
-    ///
-    /// Panics on self-receive, out-of-bounds rank, payload type mismatch,
-    /// or if the peer disconnected before sending.
-    pub fn recv<T: Wire>(&mut self, from: usize, tag: u64) -> T {
-        let msg = self.recv_msg(from, tag);
-        let bytes = msg.bytes;
-        let v = *msg.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: type mismatch receiving tag {tag} from {from}",
-                self.rank
-            )
-        });
-        // The type-erased transport must preserve accounted wire size.
-        debug_assert_eq!(
-            v.wire_bytes(),
-            bytes,
-            "rank {}: wire size changed in transit (tag {tag} from {from})",
-            self.rank
-        );
-        v
-    }
-
-    /// Like [`RankComm::recv`] but also returns the wire size in bytes.
-    pub fn recv_with_bytes<T: Wire>(&mut self, from: usize, tag: u64) -> (T, usize) {
-        let msg = self.recv_msg(from, tag);
-        let bytes = msg.bytes;
-        let v = *msg.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: type mismatch receiving tag {tag} from {from}",
-                self.rank
-            )
-        });
-        debug_assert_eq!(
-            v.wire_bytes(),
-            bytes,
-            "rank {}: wire size changed in transit (tag {tag} from {from})",
-            self.rank
-        );
-        (v, bytes)
+        None
     }
 
     /// `debug_assertions`-gated delivery invariant: within one
@@ -355,42 +104,217 @@ impl RankComm {
     #[cfg(not(debug_assertions))]
     #[inline]
     fn note_delivery(&mut self, _src: usize, _msg: &Message) {}
+}
 
-    fn recv_msg(&mut self, from: usize, tag: u64) -> Message {
-        assert!(from < self.world, "recv from rank {from} out of bounds");
-        assert_ne!(from, self.rank, "self-receive is not allowed");
-        if let Some(pos) = self.pending[from].iter().position(|m| m.tag == tag) {
-            let msg = self.pending[from].remove(pos).unwrap();
-            self.note_delivery(from, &msg);
-            return msg;
+/// One rank's endpoint in a simulated world of `world_size` ranks.
+///
+/// Create a full world with [`create_world`] and drive each endpoint
+/// from its own future (the engine runs them on `bns-runtime`).
+/// Point-to-point messages are matched by `(source, tag)`;
+/// [`RankComm::all_reduce_sum`] must be invoked by **all ranks in the
+/// same order** (it synchronizes via sequence-numbered tags).
+///
+/// Every rank has one mailbox that all peers enqueue into, so
+/// [`RankComm::recv_any`] can hand back whichever peer's message lands
+/// first. Per-peer FIFO order is still guaranteed: each sender's
+/// enqueues happen in its send order.
+pub struct RankComm {
+    rank: usize,
+    world: usize,
+    /// Every rank's mailbox, indexed by rank (this rank's own included).
+    mailboxes: Vec<Arc<Mutex<Mailbox>>>,
+    pending: Pending,
+    stats: TrafficStats,
+    coll_seq: u64,
+    /// Per-destination count of messages sent (assigns `Message::seq`).
+    send_seq: Vec<u64>,
+    /// Bytes enqueued into peers' mailboxes (mailbox-side accounting).
+    #[cfg(debug_assertions)]
+    mailbox_bytes: u64,
+    /// Bytes recorded into [`TrafficStats`] (stats-side accounting).
+    /// Shadowed separately from the stats themselves because callers
+    /// may reset those between epochs; the two shadow streams must
+    /// agree byte-for-byte after every send.
+    #[cfg(debug_assertions)]
+    recorded_bytes: u64,
+}
+
+impl std::fmt::Debug for RankComm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "RankComm {{ rank: {}/{} }}", self.rank, self.world)
+    }
+}
+
+/// Creates all `world_size` communication endpoints.
+///
+/// # Panics
+///
+/// Panics if `world_size == 0`.
+pub fn create_world(world_size: usize) -> Vec<RankComm> {
+    assert!(world_size > 0, "world_size must be positive");
+    let mailboxes: Vec<Arc<Mutex<Mailbox>>> = (0..world_size)
+        .map(|_| Arc::new(Mutex::new(Mailbox::default())))
+        .collect();
+    (0..world_size)
+        .map(|rank| RankComm {
+            rank,
+            world: world_size,
+            mailboxes: mailboxes.clone(),
+            pending: Pending {
+                rank,
+                by_source: (0..world_size).map(|_| VecDeque::new()).collect(),
+                #[cfg(debug_assertions)]
+                delivered_seq: std::collections::HashMap::new(),
+            },
+            stats: TrafficStats::new(),
+            coll_seq: 0,
+            send_seq: vec![0; world_size],
+            #[cfg(debug_assertions)]
+            mailbox_bytes: 0,
+            #[cfg(debug_assertions)]
+            recorded_bytes: 0,
+        })
+        .collect()
+}
+
+impl RankComm {
+    /// This endpoint's rank id.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Number of ranks in the world.
+    pub fn world_size(&self) -> usize {
+        self.world
+    }
+
+    /// Traffic sent by this rank so far.
+    pub fn stats(&self) -> &TrafficStats {
+        &self.stats
+    }
+
+    /// Mutable access to the traffic counters (to reset between epochs).
+    pub fn stats_mut(&mut self) -> &mut TrafficStats {
+        &mut self.stats
+    }
+
+    /// Sends `payload` to rank `to` with a user tag. Never blocks: the
+    /// mailbox is unbounded.
+    ///
+    /// User tags must be below `2^60`; higher tags are reserved for
+    /// collectives.
+    ///
+    /// # Panics
+    ///
+    /// Panics on self-send, out-of-bounds rank, or reserved tag.
+    pub fn send<T: Wire>(&mut self, to: usize, tag: u64, payload: T, class: TrafficClass) {
+        assert!(tag < COLL_BASE, "tag {tag} is reserved for collectives");
+        self.send_raw(to, tag, payload, class)
+    }
+
+    fn send_raw<T: Wire>(&mut self, to: usize, tag: u64, payload: T, class: TrafficClass) {
+        assert!(to < self.world, "send to rank {to} out of bounds");
+        assert_ne!(to, self.rank, "self-send is not allowed");
+        let bytes = payload.wire_bytes();
+        self.stats.record(class, bytes);
+        #[cfg(debug_assertions)]
+        {
+            self.recorded_bytes += bytes as u64;
         }
-        loop {
-            let (src, msg) = self.inbox.recv().expect("peer disconnected");
-            if src == from && msg.tag == tag {
-                self.note_delivery(src, &msg);
-                return msg;
-            }
-            self.pending[src].push_back(msg);
+        bns_telemetry::counter_add("comm.bytes_sent", bytes as u64);
+        bns_telemetry::counter_add(class.counter_name(), bytes as u64);
+        bns_telemetry::counter_add("comm.msgs_sent", 1);
+        let seq = self.send_seq[to];
+        self.send_seq[to] += 1;
+        let msg = Message {
+            tag,
+            // Owned messages are the wire contract, metered by
+            // TrafficStats rather than recycled.
+            payload: Box::new(payload),
+            bytes,
+            seq,
+        };
+        #[cfg(debug_assertions)]
+        {
+            self.mailbox_bytes += msg.bytes as u64;
+            // Exact byte agreement between the two accounting paths:
+            // what TrafficStats recorded and what the mailbox carries.
+            debug_assert_eq!(
+                self.mailbox_bytes, self.recorded_bytes,
+                "rank {}: mailbox accounting ({} B) diverged from TrafficStats ({} B)",
+                self.rank, self.mailbox_bytes, self.recorded_bytes
+            );
         }
+        // Wake the destination *after* the enqueue so a woken task is
+        // guaranteed to observe the message when it is polled. The
+        // waker is taken out under the lock but woken after releasing
+        // it, so no lock is held while running scheduler code.
+        let waker = {
+            let mut mailbox = lock(&self.mailboxes[to]);
+            mailbox.queue.push_back((self.rank, msg));
+            mailbox.waker.take()
+        };
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+    }
+
+    /// Receives the next message from rank `from` with tag `tag`.
+    /// Messages with other tags (or from other peers) that arrive first
+    /// are buffered. Shorthand for [`RankComm::recv_any`] with a single
+    /// candidate, minus its overlap counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics on self-receive, out-of-bounds rank, or payload type
+    /// mismatch.
+    pub async fn recv<T: Wire>(&mut self, from: usize, tag: u64) -> T {
+        self.recv_from(tag, &[from]).await.1
     }
 
     /// Receives a message with tag `tag` from **whichever** candidate in
     /// `from` delivers first, returning `(source, payload)`. Buffered
-    /// (pending) messages win over fresh arrivals, scanned in `from`
-    /// order; messages from other peers or with other tags are buffered
-    /// as in [`RankComm::recv`].
+    /// messages win over fresh arrivals, scanned in `from` order;
+    /// messages from other peers or with other tags are buffered.
     ///
-    /// Emits `comm.recv_any_ready` when a match was already buffered
-    /// (the wait was fully overlapped by compute) and
-    /// `comm.recv_any_waited` when it had to block — the ratio of the
-    /// two is the overlap hit rate.
+    /// Emits `comm.recv_any_ready` when a match was already there on
+    /// the first poll (the wait was fully overlapped by compute) and
+    /// `comm.recv_any_waited` when the task had to park for it — the
+    /// ratio of the two is the overlap hit rate.
     ///
     /// # Panics
     ///
     /// Panics if `from` is empty, contains this rank or an out-of-bounds
-    /// rank, on payload type mismatch, or if a peer disconnected.
-    pub fn recv_any<T: Wire>(&mut self, tag: u64, from: &[usize]) -> (usize, T) {
-        let (src, msg) = self.recv_any_msg(tag, from);
+    /// rank, or on payload type mismatch.
+    pub async fn recv_any<T: Wire>(&mut self, tag: u64, from: &[usize]) -> (usize, T) {
+        let (src, v, waited) = self.recv_from(tag, from).await;
+        bns_telemetry::counter_add(
+            if waited {
+                "comm.recv_any_waited"
+            } else {
+                "comm.recv_any_ready"
+            },
+            1,
+        );
+        (src, v)
+    }
+
+    /// The receive future behind [`RankComm::recv`] and
+    /// [`RankComm::recv_any`]; the flag reports whether it ever
+    /// returned `Pending`.
+    async fn recv_from<T: Wire>(&mut self, tag: u64, from: &[usize]) -> (usize, T, bool) {
+        assert!(!from.is_empty(), "recv needs at least one candidate");
+        for &src in from {
+            assert!(src < self.world, "recv from rank {src} out of bounds");
+            assert_ne!(src, self.rank, "self-receive is not allowed");
+        }
+        let mut waited = false;
+        let (src, msg) = poll_fn(|cx| {
+            let polled = self.poll_match(tag, from, cx);
+            waited |= polled.is_pending();
+            polled
+        })
+        .await;
         let bytes = msg.bytes;
         let v = *msg.payload.downcast::<T>().unwrap_or_else(|_| {
             panic!(
@@ -398,378 +322,90 @@ impl RankComm {
                 self.rank
             )
         });
+        // The type-erased transport must preserve accounted wire size.
         debug_assert_eq!(
             v.wire_bytes(),
             bytes,
             "rank {}: wire size changed in transit (tag {tag} from {src})",
             self.rank
         );
-        (src, v)
+        (src, v, waited)
     }
 
-    fn recv_any_msg(&mut self, tag: u64, from: &[usize]) -> (usize, Message) {
-        assert!(!from.is_empty(), "recv_any needs at least one candidate");
-        for &src in from {
-            assert!(src < self.world, "recv from rank {src} out of bounds");
-            assert_ne!(src, self.rank, "self-receive is not allowed");
-            if let Some(pos) = self.pending[src].iter().position(|m| m.tag == tag) {
-                bns_telemetry::counter_add("comm.recv_any_ready", 1);
-                let msg = self.pending[src].remove(pos).unwrap();
-                self.note_delivery(src, &msg);
-                return (src, msg);
-            }
+    /// One poll of the receive future: the first match in candidate
+    /// order among buffered messages, then among the mailbox's new
+    /// arrivals. With no match it leaves the task's waker in the
+    /// mailbox under the same lock it found no match under, so the
+    /// next send always finds it.
+    fn poll_match(
+        &mut self,
+        tag: u64,
+        from: &[usize],
+        cx: &mut Context<'_>,
+    ) -> Poll<(usize, Message)> {
+        if let Some(hit) = self.pending.take_match(tag, from) {
+            return Poll::Ready(hit);
         }
-        bns_telemetry::counter_add("comm.recv_any_waited", 1);
-        loop {
-            let (src, msg) = self.inbox.recv().expect("peer disconnected");
-            if msg.tag == tag && from.contains(&src) {
-                self.note_delivery(src, &msg);
-                return (src, msg);
-            }
-            self.pending[src].push_back(msg);
+        let mut mailbox = lock(&self.mailboxes[self.rank]);
+        for (src, msg) in mailbox.queue.drain(..) {
+            self.pending.by_source[src].push_back(msg);
         }
-    }
-
-    /// Pops the first pending message matching `(from, tag)`, if any.
-    fn take_pending(&mut self, from: usize, tag: u64) -> Option<Message> {
-        let pos = self.pending[from].iter().position(|m| m.tag == tag)?;
-        let msg = self.pending[from].remove(pos).unwrap();
-        self.note_delivery(from, &msg);
-        Some(msg)
-    }
-
-    /// Moves every queued inbox envelope into the per-source pending
-    /// queues without blocking. Returns `true` if the channel is
-    /// disconnected (all peers dropped) *and* fully drained.
-    fn drain_inbox(&mut self) -> bool {
-        use crate::sync::mpsc::TryRecvError;
-        loop {
-            match self.inbox.try_recv() {
-                Ok((src, msg)) => self.pending[src].push_back(msg),
-                Err(TryRecvError::Empty) => return false,
-                Err(TryRecvError::Disconnected) => return true,
-            }
-        }
-    }
-
-    /// Blocks until at least one more envelope arrives, buffering it
-    /// into the pending queues. The blocking drivers of the poll-style
-    /// operations ([`AllReduceOp`] and the exchange ops in `bns-gcn`)
-    /// use this between polls; cooperative callers park their task
-    /// instead and rely on the [`WakeFn`] hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every peer has disconnected.
-    pub fn wait_message(&mut self) {
-        let (src, msg) = self.inbox.recv().expect("peer disconnected");
-        self.pending[src].push_back(msg);
-    }
-
-    fn downcast_msg<T: Wire>(&self, msg: Message, from: usize, tag: u64) -> T {
-        let bytes = msg.bytes;
-        let v = *msg.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: type mismatch receiving tag {tag} from {from}",
-                self.rank
-            )
-        });
-        debug_assert_eq!(
-            v.wire_bytes(),
-            bytes,
-            "rank {}: wire size changed in transit (tag {tag} from {from})",
-            self.rank
-        );
-        v
-    }
-
-    /// Non-blocking [`RankComm::recv`]: returns `None` if no matching
-    /// message has arrived yet. Never blocks; anything else queued in
-    /// the inbox is buffered exactly as the blocking path would.
-    ///
-    /// # Panics
-    ///
-    /// Panics on self-receive, out-of-bounds rank, payload type
-    /// mismatch, or if every peer disconnected with no match queued.
-    pub fn try_recv<T: Wire>(&mut self, from: usize, tag: u64) -> Option<T> {
-        assert!(from < self.world, "recv from rank {from} out of bounds");
-        assert_ne!(from, self.rank, "self-receive is not allowed");
-        let msg = match self.take_pending(from, tag) {
-            Some(m) => m,
+        match self.pending.take_match(tag, from) {
+            Some(hit) => Poll::Ready(hit),
             None => {
-                let disconnected = self.drain_inbox();
-                match self.take_pending(from, tag) {
-                    Some(m) => m,
-                    None => {
-                        assert!(!disconnected, "rank {}: peer disconnected", self.rank);
-                        return None;
-                    }
-                }
-            }
-        };
-        Some(self.downcast_msg(msg, from, tag))
-    }
-
-    /// Non-blocking [`RankComm::recv_any`]: returns the first match in
-    /// candidate order (pending first, then freshly drained arrivals),
-    /// or `None` if nothing matching has arrived. Never blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is empty, contains this rank or an out-of-bounds
-    /// rank, on payload type mismatch, or if every peer disconnected
-    /// with no match queued.
-    pub fn try_recv_any<T: Wire>(&mut self, tag: u64, from: &[usize]) -> Option<(usize, T)> {
-        assert!(!from.is_empty(), "recv_any needs at least one candidate");
-        for &src in from {
-            assert!(src < self.world, "recv from rank {src} out of bounds");
-            assert_ne!(src, self.rank, "self-receive is not allowed");
-        }
-        let mut disconnected = false;
-        for pass in 0..2 {
-            for &src in from {
-                if let Some(msg) = self.take_pending(src, tag) {
-                    let v = self.downcast_msg(msg, src, tag);
-                    return Some((src, v));
-                }
-            }
-            if pass == 0 {
-                disconnected = self.drain_inbox();
+                mailbox.waker = Some(cx.waker().clone());
+                Poll::Pending
             }
         }
-        assert!(!disconnected, "rank {}: peer disconnected", self.rank);
-        None
-    }
-
-    fn next_coll_tag(&mut self, step: u64) -> u64 {
-        COLL_BASE + self.coll_seq * MAX_COLL_STEPS + step
-    }
-
-    fn finish_collective(&mut self) {
-        self.coll_seq += 1;
     }
 
     /// Ring AllReduce (sum) over an `f32` buffer: reduce-scatter followed
-    /// by all-gather. Every rank must pass a buffer of the same length.
-    /// Per-rank traffic is `2·(k-1)/k · len · 4` bytes, the standard ring
-    /// cost the paper assumes for gradient sharing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths disagree across ranks (detected as a
-    /// chunk-size mismatch) or ranks call collectives in different orders.
-    pub fn all_reduce_sum(&mut self, buf: &mut [f32]) {
-        let _span = bns_telemetry::span!("all_reduce", elems = buf.len());
-        let mut op = AllReduceOp::begin(self, buf);
-        while !op.poll(self, buf) {
-            self.wait_message();
-        }
-    }
-
-    /// Gathers one value from every rank; returns them indexed by rank.
-    pub fn all_gather<T: Wire + Clone>(&mut self, value: T, class: TrafficClass) -> Vec<T> {
-        let _span = bns_telemetry::span!("all_gather");
-        let k = self.world;
-        let tag = self.next_coll_tag(0);
-        for peer in 0..k {
-            if peer != self.rank {
-                self.send_raw(peer, tag, value.clone(), class);
-            }
-        }
-        let mut out: Vec<Option<T>> = (0..k).map(|_| None).collect();
-        out[self.rank] = Some(value);
-        let me = self.rank;
-        for peer in (0..k).filter(|&p| p != me) {
-            out[peer] = Some(self.recv(peer, tag));
-        }
-        self.finish_collective();
-        out.into_iter().map(Option::unwrap).collect()
-    }
-
-    /// All-to-all personalized exchange: `outbox[j]` is delivered to
-    /// rank `j`; returns the inbox indexed by source rank (own slot =
-    /// own outbox entry, moved, never counted as traffic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outbox.len() != world_size`.
-    pub fn all_to_all<T: Wire + Default>(
-        &mut self,
-        mut outbox: Vec<T>,
-        class: TrafficClass,
-    ) -> Vec<T> {
-        let _span = bns_telemetry::span!("all_to_all");
-        assert_eq!(
-            outbox.len(),
-            self.world,
-            "outbox must have one entry per rank"
-        );
-        let tag = self.next_coll_tag(0);
-        let me = self.rank;
-        // Send everything first (channels are unbounded, so no deadlock).
-        let mut own: Option<T> = None;
-        for (j, item) in outbox.drain(..).enumerate() {
-            if j == me {
-                own = Some(item);
-            } else {
-                self.send_raw(j, tag, item, class);
-            }
-        }
-        let mut inbox: Vec<T> = (0..self.world).map(|_| T::default()).collect();
-        inbox[me] = own.expect("own outbox entry present");
-        for j in (0..self.world).filter(|&j| j != me) {
-            inbox[j] = self.recv(j, tag);
-        }
-        self.finish_collective();
-        inbox
-    }
-
-    /// Broadcast from `root`: the root passes `Some(value)`, everyone else
-    /// `None`; all ranks return the value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the root passes `None` or a non-root passes `Some`.
-    pub fn broadcast<T: Wire + Clone>(
-        &mut self,
-        root: usize,
-        value: Option<T>,
-        class: TrafficClass,
-    ) -> T {
-        let _span = bns_telemetry::span!("broadcast", root = root);
-        let tag = self.next_coll_tag(0);
-        let out = if self.rank == root {
-            let v = value.expect("root must supply a value");
-            for peer in 0..self.world {
-                if peer != root {
-                    self.send_raw(peer, tag, v.clone(), class);
-                }
-            }
-            v
-        } else {
-            assert!(value.is_none(), "non-root rank must pass None");
-            self.recv(root, tag)
-        };
-        self.finish_collective();
-        out
-    }
-
-    /// Blocks until every rank has reached the barrier.
-    pub fn barrier(&mut self) {
-        let _ = self.all_gather(Vec::<u8>::new(), TrafficClass::Control);
-    }
-}
-
-/// An in-flight ring all-reduce (sum) that a cooperative task can
-/// drive incrementally: [`AllReduceOp::begin`] issues the first chunk
-/// send, each [`AllReduceOp::poll`] consumes whatever ring traffic has
-/// arrived and issues follow-up sends, and the task parks between
-/// polls. [`RankComm::all_reduce_sum`] is the blocking driver over the
-/// same op, so both paths execute the identical send/receive/fold
-/// sequence — reduce-scatter then all-gather, chunk `c` =
-/// `c*len/k..(c+1)*len/k`, additions in ring order — and stay bitwise
-/// identical regardless of how the waiting is implemented.
-///
-/// The same `buf` (same length, same rank) must be passed to `begin`
-/// and every `poll`.
-pub struct AllReduceOp {
-    seq: u64,
-    step: usize,
-    total_steps: usize,
-    done: bool,
-}
-
-impl AllReduceOp {
-    /// Starts the collective; every rank must call it in the same
-    /// collective order with equal-length buffers. A world of one (or
-    /// an empty buffer) completes immediately.
-    pub fn begin(comm: &mut RankComm, buf: &mut [f32]) -> Self {
-        let k = comm.world;
-        let seq = comm.coll_seq;
-        if k == 1 || buf.is_empty() {
-            comm.finish_collective();
-            return Self {
-                seq,
-                step: 0,
-                total_steps: 0,
-                done: true,
-            };
-        }
-        let op = Self {
-            seq,
-            step: 0,
-            total_steps: 2 * (k - 1),
-            done: false,
-        };
-        op.send_step(comm, buf);
-        op
-    }
-
-    fn chunk_range(k: usize, len: usize, c: usize) -> std::ops::Range<usize> {
-        (c * len / k)..((c + 1) * len / k)
-    }
-
-    /// Issues the send for the current ring step. Reduce-scatter steps
-    /// (`step < k-1`) send chunk `(r+k-step)%k`; all-gather steps send
-    /// chunk `(r+1+k-s)%k` with `s = step-(k-1)`. The per-step tag
-    /// index equals `step` in both phases.
-    fn send_step(&self, comm: &mut RankComm, buf: &[f32]) {
-        let k = comm.world;
-        let r = comm.rank;
-        let next = (r + 1) % k;
-        let send_c = if self.step < k - 1 {
-            (r + k - self.step) % k
-        } else {
-            let s = self.step - (k - 1);
-            (r + 1 + k - s) % k
-        };
-        let tag = COLL_BASE + self.seq * MAX_COLL_STEPS + self.step as u64;
-        // Chunks are 1/k of a small buffer and become the wire payload.
-        // bns-allow(BNS-A005): ring all-reduce stages one owned chunk per step
-        let out: Vec<f32> = buf[Self::chunk_range(k, buf.len(), send_c)].to_vec();
-        comm.send_raw(next, tag, out, TrafficClass::AllReduce);
-    }
-
-    /// Completes as many ring steps as arrived messages allow; returns
-    /// `true` once the collective has finished. Never blocks.
+    /// by all-gather, chunk `c` = `c*len/k..(c+1)*len/k`, additions in
+    /// ring order. Every rank must pass a buffer of the same length, and
+    /// all ranks must call it in the same order. Per-rank traffic is
+    /// `2·(k-1)/k · len · 4` bytes, the standard ring cost the paper
+    /// assumes for gradient sharing.
     ///
     /// # Panics
     ///
     /// Panics if buffer lengths disagree across ranks (detected as a
     /// chunk-size mismatch).
-    pub fn poll(&mut self, comm: &mut RankComm, buf: &mut [f32]) -> bool {
-        while !self.done {
-            let k = comm.world;
-            let r = comm.rank;
-            let prev = (r + k - 1) % k;
-            let tag = COLL_BASE + self.seq * MAX_COLL_STEPS + self.step as u64;
-            let Some(inc) = comm.try_recv::<Vec<f32>>(prev, tag) else {
-                return false;
+    pub async fn all_reduce_sum(&mut self, buf: &mut [f32]) {
+        let _span = bns_telemetry::span!("all_reduce", elems = buf.len());
+        let (k, r) = (self.world, self.rank);
+        let seq = self.coll_seq;
+        self.coll_seq += 1;
+        if k == 1 || buf.is_empty() {
+            return;
+        }
+        let len = buf.len();
+        let chunk = move |c: usize| (c * len / k)..((c + 1) * len / k);
+        let (next, prev) = ((r + 1) % k, (r + k - 1) % k);
+        for step in 0..2 * (k - 1) {
+            let tag = COLL_BASE + seq * MAX_COLL_STEPS + step as u64;
+            // Reduce-scatter steps (`step < k-1`) send chunk
+            // `(r+k-step)%k` and fold in `(r+k-step-1)%k`; all-gather
+            // step `s` sends `(r+1+k-s)%k` and overwrites `(r+k-s)%k`.
+            let (send_c, recv_c, fold) = if step < k - 1 {
+                ((r + k - step) % k, (r + k - step - 1) % k, true)
+            } else {
+                let s = step - (k - 1);
+                ((r + 1 + k - s) % k, (r + k - s) % k, false)
             };
-            let len = buf.len();
-            if self.step < k - 1 {
-                let recv_c = (r + k - self.step - 1) % k;
-                let range = Self::chunk_range(k, len, recv_c);
-                assert_eq!(inc.len(), range.len(), "all_reduce_sum length mismatch");
-                for (d, s) in buf[range].iter_mut().zip(&inc) {
+            // Chunks are 1/k of a small buffer and become the wire payload.
+            let out: Vec<f32> = buf[chunk(send_c)].to_vec();
+            self.send_raw(next, tag, out, TrafficClass::AllReduce);
+            let inc: Vec<f32> = self.recv(prev, tag).await;
+            let dst = &mut buf[chunk(recv_c)];
+            assert_eq!(inc.len(), dst.len(), "all_reduce_sum length mismatch");
+            if fold {
+                for (d, s) in dst.iter_mut().zip(&inc) {
                     *d += s;
                 }
             } else {
-                let s = self.step - (k - 1);
-                let recv_c = (r + k - s) % k;
-                let range = Self::chunk_range(k, len, recv_c);
-                assert_eq!(inc.len(), range.len(), "all_reduce_sum length mismatch");
-                buf[range].copy_from_slice(&inc);
-            }
-            self.step += 1;
-            if self.step == self.total_steps {
-                self.done = true;
-                comm.finish_collective();
-            } else {
-                self.send_step(comm, buf);
+                dst.copy_from_slice(&inc);
             }
         }
-        true
     }
 }
 
@@ -779,13 +415,29 @@ const MAX_COLL_STEPS: u64 = 1 << 20;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::future::Future;
+
+    /// Runs one future per rank of a `k`-rank world on two scheduler
+    /// workers; outputs in rank order.
+    fn run_world<T, F, Fut>(k: usize, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(RankComm) -> Fut,
+        Fut: Future<Output = T> + Send + 'static,
+    {
+        let tasks = create_world(k)
+            .into_iter()
+            .map(|c| Box::pin(f(c)) as bns_runtime::BoxFuture<'static, T>)
+            .collect();
+        bns_runtime::run_tasks(tasks, 2, |_| ()).0
+    }
 
     #[test]
     fn point_to_point_roundtrip() {
-        let out = run_ranks(2, |mut c| {
+        let out = run_world(2, |mut c| async move {
             let peer = 1 - c.rank();
             c.send(peer, 1, vec![c.rank() as u32 * 10], TrafficClass::Control);
-            let got: Vec<u32> = c.recv(peer, 1);
+            let got: Vec<u32> = c.recv(peer, 1).await;
             got[0]
         });
         assert_eq!(out, vec![10, 0]);
@@ -793,15 +445,15 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        let out = run_ranks(2, |mut c| {
+        let out = run_world(2, |mut c| async move {
             if c.rank() == 0 {
                 c.send(1, 5, vec![5.0f32], TrafficClass::Control);
                 c.send(1, 6, vec![6.0f32], TrafficClass::Control);
                 0.0
             } else {
                 // Receive in reverse order of sending.
-                let b: Vec<f32> = c.recv(0, 6);
-                let a: Vec<f32> = c.recv(0, 5);
+                let b: Vec<f32> = c.recv(0, 6).await;
+                let a: Vec<f32> = c.recv(0, 5).await;
                 a[0] * 10.0 + b[0]
             }
         });
@@ -812,21 +464,23 @@ mod tests {
     fn recv_any_returns_first_arrival() {
         // Rank 2 sends immediately; rank 1 only sends after rank 0's
         // go-signal, so rank 0's first recv_any can only ever see rank 2.
-        let out = run_ranks(3, |mut c| match c.rank() {
-            0 => {
-                let (first, a): (usize, Vec<u32>) = c.recv_any(7, &[1, 2]);
-                c.send(1, 9, vec![0u8], TrafficClass::Control); // go
-                let (second, b): (usize, Vec<u32>) = c.recv_any(7, &[1, 2]);
-                vec![first as u32, a[0], second as u32, b[0]]
-            }
-            1 => {
-                let _: Vec<u8> = c.recv(0, 9);
-                c.send(0, 7, vec![100u32], TrafficClass::Control);
-                vec![]
-            }
-            _ => {
-                c.send(0, 7, vec![200u32], TrafficClass::Control);
-                vec![]
+        let out = run_world(3, |mut c| async move {
+            match c.rank() {
+                0 => {
+                    let (first, a): (usize, Vec<u32>) = c.recv_any(7, &[1, 2]).await;
+                    c.send(1, 9, vec![0u8], TrafficClass::Control); // go
+                    let (second, b): (usize, Vec<u32>) = c.recv_any(7, &[1, 2]).await;
+                    vec![first as u32, a[0], second as u32, b[0]]
+                }
+                1 => {
+                    let _: Vec<u8> = c.recv(0, 9).await;
+                    c.send(0, 7, vec![100u32], TrafficClass::Control);
+                    vec![]
+                }
+                _ => {
+                    c.send(0, 7, vec![200u32], TrafficClass::Control);
+                    vec![]
+                }
             }
         });
         assert_eq!(out[0], vec![2, 200, 1, 100]);
@@ -834,27 +488,30 @@ mod tests {
 
     #[test]
     fn recv_any_buffers_unrelated_messages() {
-        let out = run_ranks(3, |mut c| match c.rank() {
-            0 => {
-                // Wait until everything is in flight before receiving.
-                let _: Vec<u8> = c.recv(1, 99);
-                let (src, v): (usize, Vec<u32>) = c.recv_any(7, &[2]);
-                assert_eq!((src, v[0]), (2, 5));
-                // The candidate's *other*-tag message and the non-candidate
-                // message must both have been buffered, not dropped.
-                let other: Vec<u32> = c.recv(2, 8);
-                let non_candidate: Vec<u32> = c.recv(1, 7);
-                other[0] * 10 + non_candidate[0]
-            }
-            1 => {
-                c.send(0, 7, vec![3u32], TrafficClass::Control);
-                c.send(0, 99, vec![0u8], TrafficClass::Control);
-                0
-            }
-            _ => {
-                c.send(0, 8, vec![4u32], TrafficClass::Control);
-                c.send(0, 7, vec![5u32], TrafficClass::Control);
-                0
+        let out = run_world(3, |mut c| async move {
+            match c.rank() {
+                0 => {
+                    // Wait until everything is in flight before receiving.
+                    let _: Vec<u8> = c.recv(1, 99).await;
+                    let (src, v): (usize, Vec<u32>) = c.recv_any(7, &[2]).await;
+                    assert_eq!((src, v[0]), (2, 5));
+                    // The candidate's *other*-tag message and the
+                    // non-candidate message must both have been
+                    // buffered, not dropped.
+                    let other: Vec<u32> = c.recv(2, 8).await;
+                    let non_candidate: Vec<u32> = c.recv(1, 7).await;
+                    other[0] * 10 + non_candidate[0]
+                }
+                1 => {
+                    c.send(0, 7, vec![3u32], TrafficClass::Control);
+                    c.send(0, 99, vec![0u8], TrafficClass::Control);
+                    0
+                }
+                _ => {
+                    c.send(0, 8, vec![4u32], TrafficClass::Control);
+                    c.send(0, 7, vec![5u32], TrafficClass::Control);
+                    0
+                }
             }
         });
         assert_eq!(out[0], 43);
@@ -862,31 +519,34 @@ mod tests {
 
     #[test]
     fn recv_any_prefers_pending_in_candidate_order() {
-        let out = run_ranks(3, |mut c| match c.rank() {
-            0 => {
-                // Make sure both peer messages are buffered first.
-                let _: Vec<u8> = c.recv(1, 99);
-                let _: Vec<u8> = c.recv(2, 99);
-                let warm: Vec<u32> = c.recv(1, 7);
-                assert_eq!(warm[0], 1);
-                c.send(1, 7, vec![warm[0]], TrafficClass::Control);
-                // Both rank-1 and rank-2 tag-8 messages are now pending;
-                // candidate order [2, 1] must pick rank 2 first.
-                let (first, _): (usize, Vec<u32>) = c.recv_any(8, &[2, 1]);
-                let (second, _): (usize, Vec<u32>) = c.recv_any(8, &[2, 1]);
-                (first * 10 + second) as u32
-            }
-            1 => {
-                c.send(0, 7, vec![1u32], TrafficClass::Control);
-                c.send(0, 8, vec![11u32], TrafficClass::Control);
-                c.send(0, 99, vec![0u8], TrafficClass::Control);
-                let _: Vec<u32> = c.recv(0, 7);
-                0
-            }
-            _ => {
-                c.send(0, 8, vec![22u32], TrafficClass::Control);
-                c.send(0, 99, vec![0u8], TrafficClass::Control);
-                0
+        let out = run_world(3, |mut c| async move {
+            match c.rank() {
+                0 => {
+                    // Make sure both peer messages are buffered first.
+                    let _: Vec<u8> = c.recv(1, 99).await;
+                    let _: Vec<u8> = c.recv(2, 99).await;
+                    let warm: Vec<u32> = c.recv(1, 7).await;
+                    assert_eq!(warm[0], 1);
+                    c.send(1, 7, vec![warm[0]], TrafficClass::Control);
+                    // Both rank-1 and rank-2 tag-8 messages are now
+                    // pending; candidate order [2, 1] must pick rank 2
+                    // first.
+                    let (first, _): (usize, Vec<u32>) = c.recv_any(8, &[2, 1]).await;
+                    let (second, _): (usize, Vec<u32>) = c.recv_any(8, &[2, 1]).await;
+                    (first * 10 + second) as u32
+                }
+                1 => {
+                    c.send(0, 7, vec![1u32], TrafficClass::Control);
+                    c.send(0, 8, vec![11u32], TrafficClass::Control);
+                    c.send(0, 99, vec![0u8], TrafficClass::Control);
+                    let _: Vec<u32> = c.recv(0, 7).await;
+                    0
+                }
+                _ => {
+                    c.send(0, 8, vec![22u32], TrafficClass::Control);
+                    c.send(0, 99, vec![0u8], TrafficClass::Control);
+                    0
+                }
             }
         });
         assert_eq!(out[0], 21);
@@ -894,11 +554,11 @@ mod tests {
 
     #[test]
     fn recv_any_traffic_accounting_unchanged() {
-        let out = run_ranks(2, |mut c| {
+        let out = run_world(2, |mut c| async move {
             if c.rank() == 0 {
                 c.send(1, 1, vec![0f32; 64], TrafficClass::Boundary);
             } else {
-                let (_, v): (usize, Vec<f32>) = c.recv_any(1, &[0]);
+                let (_, v): (usize, Vec<f32>) = c.recv_any(1, &[0]).await;
                 assert_eq!(v.len(), 64);
             }
             c.stats().clone()
@@ -911,11 +571,11 @@ mod tests {
     fn all_reduce_sum_is_correct_for_various_world_sizes() {
         for k in [1usize, 2, 3, 4, 7] {
             for len in [0usize, 1, 5, 16, 33] {
-                let out = run_ranks(k, move |mut c| {
+                let out = run_world(k, move |mut c| async move {
                     let mut buf: Vec<f32> = (0..len)
                         .map(|i| (c.rank() + 1) as f32 * (i + 1) as f32)
                         .collect();
-                    c.all_reduce_sum(&mut buf);
+                    c.all_reduce_sum(&mut buf).await;
                     buf
                 });
                 let total_rank: f32 = (1..=k).map(|r| r as f32).sum();
@@ -936,9 +596,9 @@ mod tests {
     fn all_reduce_ring_traffic_volume() {
         let k = 4usize;
         let len = 1024usize;
-        let out = run_ranks(k, move |mut c| {
+        let out = run_world(k, move |mut c| async move {
             let mut buf = vec![1.0f32; len];
-            c.all_reduce_sum(&mut buf);
+            c.all_reduce_sum(&mut buf).await;
             c.stats().bytes(TrafficClass::AllReduce)
         });
         // Ring: each rank sends 2*(k-1) chunks of len/k floats.
@@ -949,62 +609,24 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_collects_in_rank_order() {
-        let out = run_ranks(3, |mut c| {
-            c.all_gather(vec![c.rank() as u64], TrafficClass::Control)
-        });
-        for got in out {
-            assert_eq!(got, vec![vec![0], vec![1], vec![2]]);
-        }
-    }
-
-    #[test]
-    fn broadcast_delivers_root_value() {
-        let out = run_ranks(4, |mut c| {
-            let v = if c.rank() == 2 {
-                Some(vec![42.0f32])
-            } else {
-                None
-            };
-            c.broadcast(2, v, TrafficClass::Control)[0]
-        });
-        assert_eq!(out, vec![42.0; 4]);
-    }
-
-    #[test]
     fn collectives_compose_in_sequence() {
-        let out = run_ranks(3, |mut c| {
+        let out = run_world(3, |mut c| async move {
             let mut a = vec![c.rank() as f32];
-            c.all_reduce_sum(&mut a);
-            c.barrier();
-            let g = c.all_gather(vec![a[0] as u64], TrafficClass::Control);
-            g.iter().map(|v| v[0]).sum::<u64>()
+            c.all_reduce_sum(&mut a).await;
+            let mut b = vec![a[0] * (c.rank() + 1) as f32];
+            c.all_reduce_sum(&mut b).await;
+            b[0]
         });
-        assert_eq!(out, vec![9, 9, 9]); // 0+1+2 = 3, gathered thrice
-    }
-
-    #[test]
-    fn all_to_all_delivers_personalized_payloads() {
-        let k = 4;
-        let out = run_ranks(k, move |mut c| {
-            let me = c.rank();
-            let outbox: Vec<Vec<u32>> = (0..k).map(|j| vec![(me * 10 + j) as u32]).collect();
-            c.all_to_all(outbox, TrafficClass::Control)
-        });
-        for (me, inbox) in out.iter().enumerate() {
-            for (src, v) in inbox.iter().enumerate() {
-                assert_eq!(v[0] as usize, src * 10 + me, "rank {me} from {src}");
-            }
-        }
+        assert_eq!(out, vec![18.0; 3]); // 0+1+2 = 3, then 3·(1+2+3)
     }
 
     #[test]
     fn traffic_counts_point_to_point() {
-        let out = run_ranks(2, |mut c| {
+        let out = run_world(2, |mut c| async move {
             if c.rank() == 0 {
                 c.send(1, 1, vec![0f32; 100], TrafficClass::Boundary);
             } else {
-                let _: Vec<f32> = c.recv(0, 1);
+                let _: Vec<f32> = c.recv(0, 1).await;
             }
             c.stats().clone()
         });
@@ -1014,14 +636,12 @@ mod tests {
 
     #[test]
     fn world_of_one_collectives_are_noops() {
-        let out = run_ranks(1, |mut c| {
+        let out = run_world(1, |mut c| async move {
             let mut buf = vec![3.0f32];
-            c.all_reduce_sum(&mut buf);
-            c.barrier();
-            let g = c.all_gather(vec![7u32], TrafficClass::Control);
-            (buf[0], g.len())
+            c.all_reduce_sum(&mut buf).await;
+            buf[0]
         });
-        assert_eq!(out, vec![(3.0, 1)]);
+        assert_eq!(out, vec![3.0]);
     }
 
     #[test]

@@ -1,13 +1,29 @@
 //! Stress and failure-mode tests for the communicator.
 
-use bns_comm::{create_world, run_ranks, CostModel, TrafficClass};
+use bns_comm::{create_world, CostModel, RankComm, TrafficClass};
 use bns_tensor::SeededRng;
+use std::future::Future;
+
+/// Runs one future per rank of a `k`-rank world on two scheduler
+/// workers; outputs in rank order.
+fn run_world<T, F, Fut>(k: usize, f: F) -> Vec<T>
+where
+    T: Send + 'static,
+    F: Fn(RankComm) -> Fut,
+    Fut: Future<Output = T> + Send + 'static,
+{
+    let tasks = create_world(k)
+        .into_iter()
+        .map(|c| Box::pin(f(c)) as bns_runtime::BoxFuture<'static, T>)
+        .collect();
+    bns_runtime::run_tasks(tasks, 2, |_| ()).0
+}
 
 /// Many interleaved tags and peers: tag matching must never cross wires.
 #[test]
 fn interleaved_tags_across_many_ranks() {
     let k = 6;
-    let out = run_ranks(k, move |mut c| {
+    let out = run_world(k, move |mut c| async move {
         let me = c.rank();
         // Send a distinct payload per (peer, tag) pair...
         for peer in 0..k {
@@ -28,7 +44,7 @@ fn interleaved_tags_across_many_ranks() {
             .collect();
         rng.shuffle(&mut pairs);
         for (peer, tag) in pairs {
-            let v: Vec<u32> = c.recv(peer, tag);
+            let v: Vec<u32> = c.recv(peer, tag).await;
             assert_eq!(v[0] as u64, (peer * 100 + me * 10) as u64 + tag);
             sum += v[0] as u64;
         }
@@ -41,11 +57,11 @@ fn interleaved_tags_across_many_ranks() {
 /// numbers must not collide).
 #[test]
 fn thousand_collectives() {
-    let out = run_ranks(3, |mut c| {
+    let out = run_world(3, |mut c| async move {
         let mut acc = 0.0f32;
         for i in 0..1000 {
             let mut buf = vec![(c.rank() + i) as f32];
-            c.all_reduce_sum(&mut buf);
+            c.all_reduce_sum(&mut buf).await;
             acc += buf[0];
         }
         acc
@@ -60,11 +76,11 @@ fn thousand_collectives() {
 /// Large payloads round-trip intact.
 #[test]
 fn megabyte_payload() {
-    let out = run_ranks(2, |mut c| {
+    let out = run_world(2, |mut c| async move {
         let peer = 1 - c.rank();
         let data: Vec<f32> = (0..262_144).map(|i| i as f32).collect();
         c.send(peer, 0, data, TrafficClass::Boundary);
-        let got: Vec<f32> = c.recv(peer, 0);
+        let got: Vec<f32> = c.recv(peer, 0).await;
         (got.len(), got[1000])
     });
     for (len, v) in out {
@@ -76,14 +92,14 @@ fn megabyte_payload() {
 /// Mixed payload types on different tags coexist.
 #[test]
 fn mixed_payload_types() {
-    let out = run_ranks(2, |mut c| {
+    let out = run_world(2, |mut c| async move {
         let peer = 1 - c.rank();
         c.send(peer, 1, vec![1u8, 2, 3], TrafficClass::Control);
         c.send(peer, 2, vec![7u64], TrafficClass::Control);
         c.send(peer, 3, vec![0.5f32], TrafficClass::Boundary);
-        let a: Vec<u8> = c.recv(peer, 1);
-        let b: Vec<u64> = c.recv(peer, 2);
-        let f: Vec<f32> = c.recv(peer, 3);
+        let a: Vec<u8> = c.recv(peer, 1).await;
+        let b: Vec<u64> = c.recv(peer, 2).await;
+        let f: Vec<f32> = c.recv(peer, 3).await;
         (a.len(), b[0], f[0])
     });
     assert_eq!(out[0], (3, 7, 0.5));
@@ -93,12 +109,12 @@ fn mixed_payload_types() {
 /// Wire sizes are element-size accurate per type.
 #[test]
 fn wire_size_accounting() {
-    let out = run_ranks(2, |mut c| {
+    let out = run_world(2, |mut c| async move {
         let peer = 1 - c.rank();
         c.send(peer, 1, vec![1u8, 2, 3], TrafficClass::Control);
         c.send(peer, 2, vec![7u64, 8], TrafficClass::Control);
-        let _: Vec<u8> = c.recv(peer, 1);
-        let _: Vec<u64> = c.recv(peer, 2);
+        let _: Vec<u8> = c.recv(peer, 1).await;
+        let _: Vec<u64> = c.recv(peer, 2).await;
         c.stats().bytes(TrafficClass::Control)
     });
     assert_eq!(out, vec![19, 19]); // 3*1 + 2*8
@@ -113,14 +129,15 @@ fn self_send_panics() {
     c.send(0, 1, vec![0u8], TrafficClass::Control);
 }
 
-/// Type confusion inside a rank panics; `run_ranks` propagates it.
+/// Type confusion inside a rank panics; the scheduler propagates it
+/// to the caller.
 #[test]
-#[should_panic(expected = "rank thread panicked")]
+#[should_panic(expected = "type mismatch")]
 fn type_mismatch_panics() {
-    run_ranks(2, |mut c| {
+    run_world(2, |mut c| async move {
         let peer = 1 - c.rank();
         c.send(peer, 1, vec![1.0f32], TrafficClass::Control);
-        let _: Vec<u64> = c.recv(peer, 1); // wrong type
+        let _: Vec<u64> = c.recv(peer, 1).await; // wrong type
     });
 }
 

@@ -1,15 +1,17 @@
 //! The partition-parallel training engine — Algorithm 1 of the paper.
 //!
-//! One **cooperative task** per partition, multiplexed onto a fixed OS
-//! worker set by `bns-runtime` (`BNS_WORKERS`, default the machine's
-//! available parallelism) — so `k` can exceed the core count without
-//! oversubscribing the machine. Every epoch each rank: (1) samples its
-//! boundary set and broadcasts the selection (lines 4–7), (2) runs the
-//! layer loop, exchanging boundary features before each layer's forward
-//! and boundary-feature *gradients* after each layer's backward (lines
-//! 8–13), (3) all-reduces weight gradients and steps Adam (lines 14–15).
-//! Each blocking receive is a yield point: the task parks and the worker
-//! picks up another runnable rank; message arrival re-schedules it. All
+//! One **future** per partition (`run_rank`, an `async fn`),
+//! multiplexed onto a fixed OS worker set by `bns-runtime`
+//! (`BNS_WORKERS`, default the machine's available parallelism) — so `k`
+//! can exceed the core count without oversubscribing the machine. Every
+//! epoch each rank: (1) samples its boundary set and broadcasts the
+//! selection (lines 4–7), (2) runs the layer loop, exchanging boundary
+//! features before each layer's forward and boundary-feature
+//! *gradients* after each layer's backward (lines 8–13), (3) all-reduces
+//! weight gradients and steps Adam (lines 14–15). Each receive is an
+//! `.await`: a rank whose message has not arrived parks and the worker
+//! picks up another runnable rank; the message's arrival re-schedules
+//! it. All
 //! numeric work happens at fixed points in each rank's program order
 //! with fixed fold orders, so results are bitwise identical at any
 //! worker count (see DESIGN.md §12).
@@ -21,15 +23,13 @@
 //! hardware-independent throughput comparisons.
 
 use crate::exchange::{
-    send_boundary_rows, swap_boundary_stale, BoundaryRecvOp, EpochExchange, ExchangeArena,
-    GradRecvOp, SelectionOp,
+    exchange_gradients_overlapped, exchange_selection, recv_boundary_blocks, send_boundary_rows,
+    EpochExchange, ExchangeArena,
 };
 use crate::memory::epoch_activation_bytes;
 use crate::plan::{LocalPartition, PartitionPlan};
 use crate::sampling::{build_epoch_topology, BoundarySampling, EpochTopology};
-use bns_comm::{
-    create_world, AllReduceOp, CostModel, RankComm, TrafficClass, TrafficStats, WirePrecision,
-};
+use bns_comm::{create_world, CostModel, RankComm, TrafficClass, TrafficStats, WirePrecision};
 use bns_data::{Dataset, Labels};
 use bns_nn::loss::{bce_with_logits, softmax_cross_entropy};
 use bns_nn::metrics::{accuracy_counts, multilabel_counts, F1Counts};
@@ -40,7 +40,7 @@ use bns_nn::{
 use bns_partition::Partitioning;
 use bns_telemetry::Timed;
 use bns_tensor::{Matrix, SeededRng};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Which model architecture the engine trains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -718,31 +718,12 @@ pub fn train_with_plan(plan: &Arc<PartitionPlan>, cfg: &TrainConfig) -> TrainRun
         .unwrap_or_else(|| bns_runtime::WorkerConfig::from_env().workers)
         .min(k);
     let budget = bns_tensor::ThreadConfig::from_env();
-    let cfg = Arc::new(cfg.clone());
-    let slots: Vec<Arc<Mutex<Option<RankOutput>>>> =
-        (0..k).map(|_| Arc::new(Mutex::new(None))).collect();
-    let tasks: Vec<Box<dyn bns_runtime::Task>> = create_world(k)
+    let ranks = create_world(k)
         .into_iter()
-        .map(|comm| {
-            let me = comm.rank();
-            Box::new(RankTask::new(
-                comm,
-                Arc::clone(plan),
-                Arc::clone(&cfg),
-                Arc::clone(&slots[me]),
-            )) as Box<dyn bns_runtime::Task>
-        })
+        .map(|comm| Box::pin(run_rank(comm, plan, cfg)) as bns_runtime::BoxFuture<'_, RankOutput>)
         .collect();
-    bns_runtime::run_tasks(tasks, workers, |w| WorkerGuard::install(w, workers, budget));
-    let outputs: Vec<RankOutput> = slots
-        .iter()
-        .map(|s| {
-            s.lock()
-                .unwrap()
-                .take()
-                .expect("rank task ran to completion")
-        })
-        .collect();
+    let (outputs, _) =
+        bns_runtime::run_tasks(ranks, workers, |w| WorkerGuard::install(w, workers, budget));
     assemble_run(plan, outputs)
 }
 
@@ -907,792 +888,293 @@ fn estimate_flops(
 }
 
 // ---------------------------------------------------------------------
-// The rank task
+// The rank body
 // ---------------------------------------------------------------------
 
-/// Where a rank's epoch loop resumes on its next step (layer indices
-/// ride in the variant). Every `*Wait`/`*Recv` state is a park point:
-/// the task steps out of the scheduler there when a poll comes up
-/// empty, and a peer's send re-schedules it.
-#[derive(Debug, Clone, Copy)]
-enum RankState {
-    /// Build the model and the static full topology (runs on a worker,
-    /// not the caller, so the k builds proceed in parallel).
-    Init,
-    /// Start an epoch: snapshot traffic, arm the sample timer, build or
-    /// reuse the epoch topology and issue the selection exchange.
-    EpochStart,
-    /// Waiting for peer boundary selections.
-    SelectionWait,
-    /// Send boundary rows for layer `l`, run the inner-edge partial.
-    ForwardSend(usize),
-    /// Waiting for layer `l`'s boundary feature blocks.
-    ForwardRecv(usize),
-    /// Loss and the gradient seed.
-    Loss,
-    /// Segmented backward for layer `l`, issue the gradient sends.
-    BackwardCompute(usize),
-    /// Waiting for layer `l`'s boundary gradient blocks.
-    BackwardRecv(usize),
-    /// Flatten gradients and start the ring all-reduce.
-    ReduceBegin,
-    /// Waiting on all-reduce chunks; applies the step when done.
-    ReduceWait,
-    /// Decide whether to evaluate; issue the full-selection exchange if
-    /// one is needed and not cached yet.
-    EvalBegin,
-    /// Waiting for peers' full boundary selections (first eval only).
-    EvalSelectionWait,
-    /// Send full boundary rows for eval layer `l`.
-    EvalSend(usize),
-    /// Waiting for eval layer `l`'s boundary blocks.
-    EvalRecv(usize),
-    /// Record the epoch's stats and advance the epoch counter.
-    EpochEnd,
-    /// Publish the rank's output.
-    Finished,
-}
+/// One partition's training loop — Algorithm 1 as straight-line async
+/// code. Every `.await` is a receive that parks the rank's task when
+/// the message has not arrived yet; a peer's send re-schedules it.
+/// Every RNG draw, message send and floating-point fold sits at a
+/// fixed point in this rank's program order, so results are bitwise
+/// identical at any worker count (DESIGN.md §12).
+///
+/// The phase timers span the awaits inside them, so a phase that parks
+/// mid-way keeps accumulating the wall time it spends waiting on peers.
+async fn run_rank(mut comm: RankComm, plan: &PartitionPlan, cfg: &TrainConfig) -> RankOutput {
+    let me = comm.rank();
+    let lp: &LocalPartition = &plan.parts[me];
+    let n_in = lp.n_inner();
+    let dims = dims_of(cfg, plan.feat_dim, plan.num_classes);
+    let num_layers = dims.len() - 1;
+    let mut opt = Adam::new(cfg.lr);
+    let mut rng = SeededRng::new(cfg.seed ^ 0x5eed_0000).fork(me as u64 + 1);
+    let edge_seed = cfg.seed ^ 0xed6e_5eed;
+    // Config wins over `BNS_QUANT`; applied to the training
+    // feature/gradient exchanges only. Eval always runs Exact.
+    let precision = cfg.wire_precision.unwrap_or_else(WirePrecision::from_env);
+    // Run-level stochastic-rounding stream seed for quantized gradient
+    // sends (mixed per (tag, destination) in the gradient exchange).
+    let sr_seed = cfg.seed ^ 0x570c_4a57_1c5e_ed00;
+    let mut layers = build_layers(cfg, plan.feat_dim, plan.num_classes);
+    // Static full topology for evaluation (and for static sampling).
+    // Built inside the task so the k builds run on the worker set in
+    // parallel.
+    let full_topo = build_epoch_topology(
+        lp,
+        &BoundarySampling::Bns { p: 1.0 },
+        0,
+        edge_seed,
+        &mut rng,
+    );
+    let mut full_exchange: Option<EpochExchange> = None;
+    // The epoch's sampled topology and its selection exchange; kept
+    // across epochs when the sampling strategy is static.
+    let mut sampled: Option<(EpochTopology, EpochExchange)> = None;
+    let mut epochs_out = Vec::with_capacity(cfg.epochs);
+    let mut peak_mem = 0u64;
+    let mut stale_feats: Vec<Option<Matrix>> = vec![None; num_layers];
+    let mut stale_grads: Vec<Option<Vec<Vec<f32>>>> = vec![None; num_layers];
+    let mut arena = ExchangeArena::new();
 
-/// What one `advance` call decided.
-enum Flow {
-    /// Keep advancing within this step.
-    More,
-    /// Park until a message wakes the task.
-    Pending,
-    /// The rank is done.
-    Done,
-}
+    for epoch in 0..cfg.epochs {
+        let tag_base = (epoch as u64) * 256;
+        let traffic_start = comm.stats().clone();
+        let epoch_span = Timed::with_args("epoch", &[("rank", me.into()), ("epoch", epoch.into())]);
 
-/// The exchange the eval pass uses: the epoch's own when the training
-/// strategy keeps every boundary node (a global property, so every
-/// rank takes that branch together — reusing it skips an extra
-/// Control-class round-trip), the cached full-boundary one otherwise.
-/// A free function over the two slots so callers can keep disjoint
-/// `&mut` borrows of the rest of the task.
-fn eval_exchange<'a>(
-    selects_all: bool,
-    static_exchange: &'a Option<EpochExchange>,
-    full_exchange: &'a Option<EpochExchange>,
-) -> &'a EpochExchange {
-    if selects_all {
-        static_exchange.as_ref().expect("built in phase 1")
-    } else {
-        full_exchange.as_ref().expect("built at first eval")
-    }
-}
-
-/// One partition's training loop as a resumable task: the old
-/// thread-per-rank worker body unrolled into an explicit state machine
-/// so a blocked receive parks the task instead of an OS thread. The
-/// fields are what used to be stack locals; the scheduler never
-/// overlaps steps of one task, so they carry across parks exactly like
-/// locals across a blocking call. Every RNG draw, message send and
-/// floating-point fold happens at the same point in this rank's
-/// program order as in the blocking code — which is why results are
-/// bitwise identical at any worker count (DESIGN.md §12).
-struct RankTask {
-    me: usize,
-    comm: RankComm,
-    plan: Arc<PartitionPlan>,
-    cfg: Arc<TrainConfig>,
-    lp: Arc<LocalPartition>,
-    out: Arc<Mutex<Option<RankOutput>>>,
-
-    // Model state (lives for the whole run).
-    n_in: usize,
-    dims: Vec<usize>,
-    layers: Vec<AnyLayer>,
-    num_layers: usize,
-    opt: Adam,
-    rng: SeededRng,
-    edge_seed: u64,
-    /// Resolved once per run (config wins over `BNS_QUANT`); applied to
-    /// the training feature/gradient exchanges. Eval always runs Exact.
-    precision: WirePrecision,
-    /// Run-level stochastic-rounding stream seed for quantized gradient
-    /// sends (mixed per (tag, destination) in `GradRecvOp::begin`).
-    sr_seed: u64,
-
-    // Topology / exchange caches.
-    full_topo: Option<EpochTopology>,
-    full_exchange: Option<EpochExchange>,
-    static_topo: Option<EpochTopology>,
-    static_exchange: Option<EpochExchange>,
-
-    // Run-long accumulators.
-    epochs_out: Vec<RankEpoch>,
-    peak_mem: u64,
-    stale_feats: Vec<Option<Matrix>>,
-    stale_grads: Vec<Option<Vec<Vec<f32>>>>,
-    arena: ExchangeArena,
-
-    // Per-epoch state (the old loop's locals). The phase timers live
-    // here so a phase that parks mid-way keeps accumulating wall time —
-    // the same wall time the blocking receive used to spend inside
-    // `recv`, so phase breakdowns stay comparable.
-    epoch: usize,
-    tag_base: u64,
-    traffic_start: TrafficStats,
-    epoch_span: Option<Timed>,
-    sample_timer: Option<Timed>,
-    exchange_timer: Option<Timed>,
-    reduce_timer: Option<Timed>,
-    eval_span: Option<Timed>,
-    sample_s: f64,
-    compute_s: f64,
-    comm_s: f64,
-    reduce_s: f64,
-    flops: f64,
-    n_sel: usize,
-    h: Matrix,
-    partial: Option<TrainPartial>,
-    caches: Vec<TrainCache>,
-    layer_grads: Vec<Vec<Matrix>>,
-    d: Matrix,
-    local_loss: f64,
-    global_loss: f64,
-    flat: Vec<f32>,
-    grad_shapes: Vec<(usize, usize)>,
-    epoch_traffic: TrafficStats,
-    eval_h: Matrix,
-    val: Option<(u64, u64, u64)>,
-    test: Option<(u64, u64, u64)>,
-
-    // In-flight comm operation slots (at most one active at a time).
-    sel_op: Option<SelectionOp>,
-    bd_op: Option<BoundaryRecvOp>,
-    grad_op: Option<GradRecvOp>,
-    ar_op: Option<AllReduceOp>,
-    state: RankState,
-}
-
-impl RankTask {
-    fn new(
-        comm: RankComm,
-        plan: Arc<PartitionPlan>,
-        cfg: Arc<TrainConfig>,
-        out: Arc<Mutex<Option<RankOutput>>>,
-    ) -> Self {
-        let me = comm.rank();
-        let lp = Arc::clone(&plan.parts[me]);
-        let n_in = lp.n_inner();
-        let dims = dims_of(&cfg, plan.feat_dim, plan.num_classes);
-        let num_layers = dims.len() - 1;
-        let opt = Adam::new(cfg.lr);
-        let rng = SeededRng::new(cfg.seed ^ 0x5eed_0000).fork(me as u64 + 1);
-        let edge_seed = cfg.seed ^ 0xed6e_5eed;
-        let precision = cfg.wire_precision.unwrap_or_else(WirePrecision::from_env);
-        let sr_seed = cfg.seed ^ 0x570c_4a57_1c5e_ed00;
-        let traffic = comm.stats().clone();
-        let epochs = cfg.epochs;
-        Self {
-            me,
-            comm,
-            plan,
-            cfg,
-            lp,
-            out,
-            n_in,
-            dims,
-            layers: Vec::new(),
-            num_layers,
-            opt,
-            rng,
-            edge_seed,
-            precision,
-            sr_seed,
-            full_topo: None,
-            full_exchange: None,
-            static_topo: None,
-            static_exchange: None,
-            epochs_out: Vec::with_capacity(epochs),
-            peak_mem: 0,
-            stale_feats: vec![None; num_layers],
-            stale_grads: vec![None; num_layers],
-            arena: ExchangeArena::new(),
-            epoch: 0,
-            tag_base: 0,
-            traffic_start: traffic.clone(),
-            epoch_span: None,
-            sample_timer: None,
-            exchange_timer: None,
-            reduce_timer: None,
-            eval_span: None,
-            sample_s: 0.0,
-            compute_s: 0.0,
-            comm_s: 0.0,
-            reduce_s: 0.0,
-            flops: 0.0,
-            n_sel: 0,
-            h: Matrix::zeros(0, 0),
-            partial: None,
-            caches: Vec::new(),
-            layer_grads: Vec::new(),
-            d: Matrix::zeros(0, 0),
-            local_loss: 0.0,
-            global_loss: 0.0,
-            flat: Vec::new(),
-            grad_shapes: Vec::new(),
-            epoch_traffic: traffic,
-            eval_h: Matrix::zeros(0, 0),
-            val: None,
-            test: None,
-            sel_op: None,
-            bd_op: None,
-            grad_op: None,
-            ar_op: None,
-            state: RankState::Init,
+        // ---- Phase 1: boundary sampling + selection exchange ----
+        let sample_timer = Timed::with_args("sample", &[("epoch", epoch.into())]);
+        if !(cfg.sampling.is_static() && sampled.is_some()) {
+            let topo = build_epoch_topology(lp, &cfg.sampling, epoch, edge_seed, &mut rng);
+            let ex = exchange_selection(&mut comm, lp, &topo.selected, tag_base).await;
+            sampled = Some((topo, ex));
         }
-    }
+        let (topo, ex) = sampled.as_ref().expect("epoch topology built");
+        let sample_s = sample_timer.stop();
+        let n_sel = topo.selected.len();
+        bns_telemetry::counter_add("sampler.boundary_kept", n_sel as u64);
+        bns_telemetry::counter_add("sampler.boundary_total", lp.n_boundary() as u64);
+        let mut compute_s = 0.0;
+        let mut comm_s = 0.0;
+        let mut flops = 0.0;
 
-    /// Phase 1 epilogue (fresh-build and static-reuse paths both land
-    /// here): stop the sample timer, record the sampler counters and
-    /// reset the epoch accumulators.
-    fn finish_sample(&mut self) {
-        self.sample_s = self.sample_timer.take().expect("sample timer armed").stop();
-        let topo = self.static_topo.as_ref().expect("epoch topology built");
-        self.n_sel = topo.selected.len();
-        bns_telemetry::counter_add("sampler.boundary_kept", self.n_sel as u64);
-        bns_telemetry::counter_add("sampler.boundary_total", self.lp.n_boundary() as u64);
-        self.compute_s = 0.0;
-        self.comm_s = 0.0;
-        self.flops = 0.0;
-        self.caches.clear();
-        self.h = self.lp.features.clone();
-        self.state = RankState::ForwardSend(0);
-    }
+        // ---- Phase 2: forward, exchanging boundary features ----
+        let mut caches = Vec::with_capacity(num_layers);
+        let mut h = lp.features.clone();
+        for l in 0..num_layers {
+            // Issue all boundary-feature sends, run the inner-edge
+            // partial work while the blocks are in flight, then take
+            // arrivals in whatever order they land. The fold happens
+            // into fixed per-owner row ranges, so the result is bitwise
+            // identical to the serial exchange.
+            let tag = tag_base + 1 + l as u64;
+            let layer_args = [("epoch", epoch.into()), ("layer", l.into())];
+            let tc = Timed::with_args("exchange", &layer_args);
+            send_boundary_rows(&mut comm, ex, &h, tag, &mut arena, precision);
+            comm_s += tc.stop();
+            let tk = Timed::with_args("compute", &layer_args);
+            let partial = layers[l].forward_inner(&topo.graph, &h, &topo.gcn_scale, &mut rng);
+            compute_s += tk.stop();
+            let tc = Timed::with_args("exchange", &layer_args);
+            recv_boundary_blocks(
+                &mut comm,
+                ex,
+                n_sel,
+                h.cols(),
+                topo.feature_scale,
+                tag,
+                &mut arena,
+                cfg.pipeline.then(|| &mut stale_feats[l]),
+                precision,
+            )
+            .await;
+            comm_s += tc.stop();
+            let tk = Timed::with_args("compute", &layer_args);
+            let (h_next, cache) = layers[l].forward_boundary(
+                &topo.graph,
+                partial,
+                &h,
+                arena.boundary(),
+                &topo.row_scale,
+                &topo.gcn_scale,
+                &mut rng,
+            );
+            compute_s += tk.stop();
+            flops += estimate_flops(
+                cfg.arch,
+                topo.graph.num_edges(),
+                n_in,
+                n_in + n_sel,
+                dims[l],
+                dims[l + 1],
+            );
+            caches.push(cache);
+            h = h_next;
+        }
 
-    /// Runs one state transition. `Pending` means a poll came up empty
-    /// and the task should park; everything else either continues
-    /// immediately or finishes the rank.
-    fn advance(&mut self) -> Flow {
-        match self.state {
-            RankState::Init => {
-                self.layers = build_layers(&self.cfg, self.plan.feat_dim, self.plan.num_classes);
-                // Static full topology for evaluation (and for static
-                // sampling). Built here rather than in `new` so the k
-                // builds run on the worker set in parallel, and so the
-                // RNG draw order matches the old per-thread code.
-                self.full_topo = Some(build_epoch_topology(
-                    &self.lp,
-                    &BoundarySampling::Bns { p: 1.0 },
-                    0,
-                    self.edge_seed,
-                    &mut self.rng,
-                ));
-                self.state = RankState::EpochStart;
-                Flow::More
+        // ---- Loss and the gradient seed ----
+        let tk = Timed::with_args("compute", &[("epoch", epoch.into())]);
+        let (local_loss, mut d) = match &lp.labels {
+            Labels::Single(labels) => {
+                let (loss, d, _) = softmax_cross_entropy(&h, labels, &lp.train_local);
+                (loss, d)
             }
-            RankState::EpochStart => {
-                if self.epoch == self.cfg.epochs {
-                    self.state = RankState::Finished;
-                    return Flow::More;
-                }
-                let epoch = self.epoch;
-                self.tag_base = (epoch as u64) * 256;
-                self.traffic_start = self.comm.stats().clone();
-                self.epoch_span = Some(Timed::with_args(
-                    "epoch",
-                    &[("rank", self.me.into()), ("epoch", epoch.into())],
-                ));
+            Labels::Multi(y) => bce_with_logits(&h, y, &lp.train_local),
+        };
+        d.scale(1.0 / plan.global_train.max(1) as f32);
+        compute_s += tk.stop();
 
-                // ---- Phase 1: boundary sampling + selection exchange ----
-                self.sample_timer = Some(Timed::with_args("sample", &[("epoch", epoch.into())]));
-                if self.cfg.sampling.is_static() && self.static_topo.is_some() {
-                    self.finish_sample();
-                    return Flow::More;
-                }
-                let t = build_epoch_topology(
-                    &self.lp,
-                    &self.cfg.sampling,
-                    epoch,
-                    self.edge_seed,
-                    &mut self.rng,
-                );
-                self.sel_op = Some(SelectionOp::begin(
-                    &mut self.comm,
-                    &self.lp,
-                    &t.selected,
-                    self.tag_base,
-                ));
-                self.static_topo = Some(t);
-                self.state = RankState::SelectionWait;
-                Flow::More
-            }
-            RankState::SelectionWait => {
-                let done = {
-                    let op = self.sel_op.as_mut().expect("selection op in flight");
-                    op.poll(&mut self.comm, &self.lp)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                let op = self.sel_op.take().expect("selection op in flight");
-                self.static_exchange = Some(op.finish());
-                self.finish_sample();
-                Flow::More
-            }
-            RankState::ForwardSend(l) => {
-                // Issue all boundary-feature sends (non-blocking), run
-                // the inner-edge partial work while the blocks are in
-                // flight, then drain arrivals in whatever order they
-                // land. The fold happens into fixed per-owner row
-                // ranges, so the result is bitwise identical to the
-                // serial exchange.
-                let epoch = self.epoch;
-                let tag = self.tag_base + 1 + l as u64;
-                let ex = self.static_exchange.as_ref().expect("selection exchanged");
-                let topo = self.static_topo.as_ref().expect("epoch topology built");
-                let tc =
-                    Timed::with_args("exchange", &[("epoch", epoch.into()), ("layer", l.into())]);
-                send_boundary_rows(
-                    &mut self.comm,
+        // ---- Phase 3: backward, exchanging boundary gradients ----
+        let mut layer_grads = Vec::with_capacity(num_layers);
+        for l in (0..num_layers).rev() {
+            let layer_args = [("epoch", epoch.into()), ("layer", l.into())];
+            let tk = Timed::with_args("compute", &layer_args);
+            let (d_inner, d_bd, grads) = layers[l].backward_seg(&topo.graph, &caches[l], &d, n_in);
+            compute_s += tk.stop();
+            layer_grads.push(grads);
+            d = d_inner;
+            let tc = Timed::with_args("exchange", &layer_args);
+            if !ex.is_trivial() {
+                exchange_gradients_overlapped(
+                    &mut comm,
                     ex,
-                    &self.h,
-                    tag,
-                    &mut self.arena,
-                    self.precision,
-                );
-                self.comm_s += tc.stop();
-                let tk =
-                    Timed::with_args("compute", &[("epoch", epoch.into()), ("layer", l.into())]);
-                self.partial = Some(self.layers[l].forward_inner(
-                    &topo.graph,
-                    &self.h,
-                    &topo.gcn_scale,
-                    &mut self.rng,
-                ));
-                self.compute_s += tk.stop();
-                self.exchange_timer = Some(Timed::with_args(
-                    "exchange",
-                    &[("epoch", epoch.into()), ("layer", l.into())],
-                ));
-                self.bd_op = Some(BoundaryRecvOp::begin(
-                    ex,
-                    self.n_sel,
-                    self.h.cols(),
+                    &mut d,
+                    d_bd,
                     topo.feature_scale,
-                    tag,
-                    &mut self.arena,
-                    self.precision,
-                ));
-                self.state = RankState::ForwardRecv(l);
-                Flow::More
+                    tag_base + 64 + l as u64,
+                    &mut arena,
+                    cfg.pipeline.then(|| &mut stale_grads[l]),
+                    precision,
+                    sr_seed,
+                )
+                .await;
             }
-            RankState::ForwardRecv(l) => {
-                let done = {
-                    let op = self.bd_op.as_mut().expect("boundary recv in flight");
-                    let ex = self.static_exchange.as_ref().expect("selection exchanged");
-                    op.poll(&mut self.comm, ex, &mut self.arena)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                self.bd_op = None;
-                self.comm_s += self
-                    .exchange_timer
-                    .take()
-                    .expect("exchange timer armed")
-                    .stop();
-                swap_boundary_stale(
-                    &mut self.arena,
-                    if self.cfg.pipeline {
-                        Some(&mut self.stale_feats[l])
-                    } else {
-                        None
-                    },
-                );
-                let epoch = self.epoch;
-                let topo = self.static_topo.as_ref().expect("epoch topology built");
-                let tk =
-                    Timed::with_args("compute", &[("epoch", epoch.into()), ("layer", l.into())]);
-                let partial = self.partial.take().expect("forward partial staged");
-                let (h_next, cache) = self.layers[l].forward_boundary(
-                    &topo.graph,
-                    partial,
-                    &self.h,
-                    self.arena.boundary(),
-                    &topo.row_scale,
-                    &topo.gcn_scale,
-                    &mut self.rng,
-                );
-                self.compute_s += tk.stop();
-                self.flops += estimate_flops(
-                    self.cfg.arch,
-                    topo.graph.num_edges(),
-                    self.n_in,
-                    self.n_in + self.n_sel,
-                    self.dims[l],
-                    self.dims[l + 1],
-                );
-                self.caches.push(cache);
-                self.h = h_next;
-                self.state = if l + 1 < self.num_layers {
-                    RankState::ForwardSend(l + 1)
-                } else {
-                    RankState::Loss
-                };
-                Flow::More
-            }
-            RankState::Loss => {
-                let epoch = self.epoch;
-                let tk = Timed::with_args("compute", &[("epoch", epoch.into())]);
-                let (local_loss, mut dlogits) = match &self.lp.labels {
-                    Labels::Single(labels) => {
-                        let (loss, d, _) =
-                            softmax_cross_entropy(&self.h, labels, &self.lp.train_local);
-                        (loss, d)
-                    }
-                    Labels::Multi(y) => bce_with_logits(&self.h, y, &self.lp.train_local),
-                };
-                dlogits.scale(1.0 / self.plan.global_train.max(1) as f32);
-                self.compute_s += tk.stop();
-                self.local_loss = local_loss;
-                self.d = dlogits;
-                self.layer_grads.clear();
-                self.state = RankState::BackwardCompute(self.num_layers - 1);
-                Flow::More
-            }
-            RankState::BackwardCompute(l) => {
-                let epoch = self.epoch;
-                let topo = self.static_topo.as_ref().expect("epoch topology built");
-                let tk =
-                    Timed::with_args("compute", &[("epoch", epoch.into()), ("layer", l.into())]);
-                let (d_inner, d_bd, grads) =
-                    self.layers[l].backward_seg(&topo.graph, &self.caches[l], &self.d, self.n_in);
-                self.compute_s += tk.stop();
-                self.layer_grads.push(grads);
-                self.d = d_inner;
-                self.exchange_timer = Some(Timed::with_args(
-                    "exchange",
-                    &[("epoch", epoch.into()), ("layer", l.into())],
-                ));
-                let ex = self.static_exchange.as_ref().expect("selection exchanged");
-                if ex.is_trivial() {
-                    self.comm_s += self
-                        .exchange_timer
-                        .take()
-                        .expect("exchange timer armed")
-                        .stop();
-                    self.state = if l == 0 {
-                        RankState::ReduceBegin
-                    } else {
-                        RankState::BackwardCompute(l - 1)
-                    };
-                    return Flow::More;
-                }
-                self.grad_op = Some(GradRecvOp::begin(
-                    &mut self.comm,
-                    ex,
-                    &d_bd,
-                    topo.feature_scale,
-                    self.tag_base + 64 + l as u64,
-                    &mut self.arena,
-                    self.precision,
-                    self.sr_seed,
-                ));
-                self.state = RankState::BackwardRecv(l);
-                Flow::More
-            }
-            RankState::BackwardRecv(l) => {
-                let done = {
-                    let op = self.grad_op.as_mut().expect("gradient recv in flight");
-                    let ex = self.static_exchange.as_ref().expect("selection exchanged");
-                    op.poll(&mut self.comm, ex, &mut self.arena)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                let op = self.grad_op.take().expect("gradient recv in flight");
-                let ex = self.static_exchange.as_ref().expect("selection exchanged");
-                op.finish(
-                    ex,
-                    &mut self.d,
-                    &mut self.arena,
-                    if self.cfg.pipeline {
-                        Some(&mut self.stale_grads[l])
-                    } else {
-                        None
-                    },
-                );
-                self.comm_s += self
-                    .exchange_timer
-                    .take()
-                    .expect("exchange timer armed")
-                    .stop();
-                self.state = if l == 0 {
-                    RankState::ReduceBegin
-                } else {
-                    RankState::BackwardCompute(l - 1)
-                };
-                Flow::More
-            }
-            RankState::ReduceBegin => {
-                let epoch = self.epoch;
-                self.layer_grads.reverse();
-                self.reduce_timer = Some(Timed::with_args("reduce", &[("epoch", epoch.into())]));
-                let grad_refs: Vec<&Matrix> = self.layer_grads.iter().flatten().collect();
-                self.grad_shapes = grad_refs.iter().map(|m| (m.rows(), m.cols())).collect();
-                let mut flat = flatten(&grad_refs);
-                flat.push(self.local_loss as f32);
-                self.flat = flat;
-                self.ar_op = Some(AllReduceOp::begin(&mut self.comm, &mut self.flat));
-                self.state = RankState::ReduceWait;
-                Flow::More
-            }
-            RankState::ReduceWait => {
-                let done = {
-                    let op = self.ar_op.as_mut().expect("all-reduce in flight");
-                    op.poll(&mut self.comm, &mut self.flat)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                self.ar_op = None;
-                let global_train = self.plan.global_train.max(1) as f64;
-                self.global_loss = *self.flat.last().expect("loss slot") as f64 / global_train;
-                self.flat.pop();
-                if self.me == 0 {
-                    bns_telemetry::gauge_set("epoch.loss", self.global_loss);
-                    bns_telemetry::series_push("epoch.loss", self.epoch as u64, self.global_loss);
-                }
-                if let Some(clip) = self.cfg.clip_norm {
-                    let norm = self
-                        .flat
-                        .iter()
-                        .map(|x| (*x as f64).powi(2))
-                        .sum::<f64>()
-                        .sqrt() as f32;
-                    if norm > clip {
-                        let s = clip / norm;
-                        for x in &mut self.flat {
-                            *x *= s;
-                        }
-                    }
-                }
-                let mut grad_mats: Vec<Matrix> = self
-                    .grad_shapes
-                    .iter()
-                    .map(|&(r, c)| Matrix::zeros(r, c))
-                    .collect();
-                {
-                    let mut muts: Vec<&mut Matrix> = grad_mats.iter_mut().collect();
-                    unflatten_into(&self.flat, &mut muts);
-                }
-                {
-                    let g_refs: Vec<&Matrix> = grad_mats.iter().collect();
-                    let mut params: Vec<&mut Matrix> = self
-                        .layers
-                        .iter_mut()
-                        .flat_map(|l| l.params_mut())
-                        .collect();
-                    self.opt.step(&mut params, &g_refs);
-                }
-                self.reduce_s = self.reduce_timer.take().expect("reduce timer armed").stop();
+            comm_s += tc.stop();
+        }
 
-                // ---- Memory model ----
-                let mem = epoch_activation_bytes(
-                    self.n_in,
-                    self.n_sel,
-                    &self.dims,
-                    self.cfg.dropout > 0.0,
-                );
-                self.peak_mem = self.peak_mem.max(mem);
+        // ---- Phase 4: all-reduce weight gradients, Adam step ----
+        layer_grads.reverse();
+        let reduce_timer = Timed::with_args("reduce", &[("epoch", epoch.into())]);
+        let grad_shapes: Vec<(usize, usize)> = layer_grads
+            .iter()
+            .flatten()
+            .map(|m| (m.rows(), m.cols()))
+            .collect();
+        let mut flat = flatten(&layer_grads.iter().flatten().collect::<Vec<_>>());
+        flat.push(local_loss as f32);
+        comm.all_reduce_sum(&mut flat).await;
+        let global_loss = flat.pop().expect("loss slot") as f64 / plan.global_train.max(1) as f64;
+        if me == 0 {
+            bns_telemetry::gauge_set("epoch.loss", global_loss);
+            bns_telemetry::series_push("epoch.loss", epoch as u64, global_loss);
+        }
+        if let Some(clip) = cfg.clip_norm {
+            let norm = flat.iter().map(|x| (*x as f64).powi(2)).sum::<f64>().sqrt() as f32;
+            if norm > clip {
+                let s = clip / norm;
+                for x in &mut flat {
+                    *x *= s;
+                }
+            }
+        }
+        let mut grad_mats: Vec<Matrix> = grad_shapes
+            .iter()
+            .map(|&(r, c)| Matrix::zeros(r, c))
+            .collect();
+        unflatten_into(&flat, &mut grad_mats.iter_mut().collect::<Vec<_>>());
+        let mut params: Vec<&mut Matrix> = layers.iter_mut().flat_map(|l| l.params_mut()).collect();
+        opt.step(&mut params, &grad_mats.iter().collect::<Vec<_>>());
+        let reduce_s = reduce_timer.stop();
 
-                // Snapshot training traffic before the (full-boundary)
-                // eval pass so timing/traffic stats reflect training
-                // only.
-                self.epoch_traffic = self.comm.stats().since(&self.traffic_start);
-                self.state = RankState::EvalBegin;
-                Flow::More
-            }
-            RankState::EvalBegin => {
-                let epoch = self.epoch;
-                let do_eval = epoch + 1 == self.cfg.epochs
-                    || (self.cfg.eval_every > 0 && (epoch + 1).is_multiple_of(self.cfg.eval_every));
-                if !do_eval {
-                    self.val = None;
-                    self.test = None;
-                    self.state = RankState::EpochEnd;
-                    return Flow::More;
+        // ---- Memory model ----
+        let mem = epoch_activation_bytes(n_in, n_sel, &dims, cfg.dropout > 0.0);
+        peak_mem = peak_mem.max(mem);
+
+        // Snapshot training traffic before the (full-boundary) eval
+        // pass so timing/traffic stats reflect training only.
+        let traffic = comm.stats().since(&traffic_start);
+
+        // ---- Evaluation on the full boundary set ----
+        let do_eval = epoch + 1 == cfg.epochs
+            || (cfg.eval_every > 0 && (epoch + 1).is_multiple_of(cfg.eval_every));
+        let scores = if do_eval {
+            let eval_span = Timed::with_args("eval", &[("epoch", epoch.into())]);
+            // When the training strategy keeps every boundary node (a
+            // global property, so every rank takes this branch
+            // together) the epoch's own exchange serves; otherwise the
+            // full-boundary one, exchanged once at the first eval.
+            let eval_ex = if cfg.sampling.selects_all() {
+                ex
+            } else {
+                if full_exchange.is_none() {
+                    let tag = tag_base + 128;
+                    full_exchange =
+                        Some(exchange_selection(&mut comm, lp, &full_topo.selected, tag).await);
                 }
-                self.eval_span = Some(Timed::with_args("eval", &[("epoch", epoch.into())]));
-                if !self.cfg.sampling.selects_all() && self.full_exchange.is_none() {
-                    let selected = &self
-                        .full_topo
-                        .as_ref()
-                        .expect("full topology built")
-                        .selected;
-                    self.sel_op = Some(SelectionOp::begin(
-                        &mut self.comm,
-                        &self.lp,
-                        selected,
-                        self.tag_base + 128,
-                    ));
-                    self.state = RankState::EvalSelectionWait;
-                    return Flow::More;
-                }
-                self.eval_h = self.lp.features.clone();
-                self.state = RankState::EvalSend(0);
-                Flow::More
-            }
-            RankState::EvalSelectionWait => {
-                let done = {
-                    let op = self.sel_op.as_mut().expect("selection op in flight");
-                    op.poll(&mut self.comm, &self.lp)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                let op = self.sel_op.take().expect("selection op in flight");
-                self.full_exchange = Some(op.finish());
-                self.eval_h = self.lp.features.clone();
-                self.state = RankState::EvalSend(0);
-                Flow::More
-            }
-            RankState::EvalSend(l) => {
-                // Arena-backed full-boundary exchange: bitwise equal to
-                // the serial reference, but send staging and the
-                // boundary block reuse the rank's arena, so repeated
-                // eval/serving passes stop allocating here.
-                let tag = self.tag_base + 129 + l as u64;
-                let ex = eval_exchange(
-                    self.cfg.sampling.selects_all(),
-                    &self.static_exchange,
-                    &self.full_exchange,
-                );
+                full_exchange.as_ref().expect("full exchange built")
+            };
+            let mut eval_h = lp.features.clone();
+            for (l, layer) in layers.iter().enumerate() {
                 // Eval always exchanges exact: metrics compare the exact
                 // forward regardless of the training wire precision.
-                send_boundary_rows(
-                    &mut self.comm,
-                    ex,
-                    &self.eval_h,
-                    tag,
-                    &mut self.arena,
-                    WirePrecision::Exact,
-                );
-                let n_full = self
-                    .full_topo
-                    .as_ref()
-                    .expect("full topology built")
-                    .selected
-                    .len();
-                self.bd_op = Some(BoundaryRecvOp::begin(
-                    ex,
-                    n_full,
-                    self.eval_h.cols(),
-                    1.0,
-                    tag,
-                    &mut self.arena,
-                    WirePrecision::Exact,
-                ));
-                self.state = RankState::EvalRecv(l);
-                Flow::More
-            }
-            RankState::EvalRecv(l) => {
-                let done = {
-                    let op = self.bd_op.as_mut().expect("boundary recv in flight");
-                    let ex = eval_exchange(
-                        self.cfg.sampling.selects_all(),
-                        &self.static_exchange,
-                        &self.full_exchange,
-                    );
-                    op.poll(&mut self.comm, ex, &mut self.arena)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                self.bd_op = None;
-                let full = self.full_topo.as_ref().expect("full topology built");
-                let h_full = self.eval_h.vstack(self.arena.boundary());
-                self.eval_h = self.layers[l].forward_eval(
-                    &full.graph,
+                let tag = tag_base + 129 + l as u64;
+                let exact = WirePrecision::Exact;
+                send_boundary_rows(&mut comm, eval_ex, &eval_h, tag, &mut arena, exact);
+                let n_full = full_topo.selected.len();
+                let d = eval_h.cols();
+                recv_boundary_blocks(
+                    &mut comm, eval_ex, n_full, d, 1.0, tag, &mut arena, None, exact,
+                )
+                .await;
+                let h_full = eval_h.vstack(arena.boundary());
+                eval_h = layer.forward_eval(
+                    &full_topo.graph,
                     &h_full,
-                    self.n_in,
-                    &full.row_scale,
-                    &full.gcn_scale,
-                    &mut self.rng,
+                    n_in,
+                    &full_topo.row_scale,
+                    &full_topo.gcn_scale,
+                    &mut rng,
                 );
-                if l + 1 < self.num_layers {
-                    self.state = RankState::EvalSend(l + 1);
-                    return Flow::More;
-                }
-                let score_of = |h: &Matrix, rows: &[usize]| -> (u64, u64, u64) {
-                    match &self.lp.labels {
-                        Labels::Single(labels) => {
-                            let (c, t) = accuracy_counts(h, labels, rows);
-                            (c as u64, t as u64, 0)
-                        }
-                        Labels::Multi(y) => {
-                            let c = multilabel_counts(h, y, rows);
-                            (c.tp, c.fp, c.fn_)
-                        }
+            }
+            let score_of = |rows: &[usize]| -> (u64, u64, u64) {
+                match &lp.labels {
+                    Labels::Single(labels) => {
+                        let (c, t) = accuracy_counts(&eval_h, labels, rows);
+                        (c as u64, t as u64, 0)
                     }
-                };
-                let val = score_of(&self.eval_h, &self.lp.val_local);
-                let test = score_of(&self.eval_h, &self.lp.test_local);
-                self.val = Some(val);
-                self.test = Some(test);
-                if let Some(t) = self.eval_span.take() {
-                    t.stop();
+                    Labels::Multi(y) => {
+                        let c = multilabel_counts(&eval_h, y, rows);
+                        (c.tp, c.fp, c.fn_)
+                    }
                 }
-                self.state = RankState::EpochEnd;
-                Flow::More
-            }
-            RankState::EpochEnd => {
-                self.epochs_out.push(RankEpoch {
-                    loss: self.global_loss,
-                    sample_s: self.sample_s,
-                    compute_s: self.compute_s,
-                    comm_s: self.comm_s,
-                    reduce_s: self.reduce_s,
-                    traffic: self.epoch_traffic.clone(),
-                    flops: self.flops,
-                    selected: self.n_sel,
-                    val: self.val.take(),
-                    test: self.test.take(),
-                });
-                if let Some(t) = self.epoch_span.take() {
-                    t.stop();
-                }
-                self.epoch += 1;
-                self.state = RankState::EpochStart;
-                Flow::More
-            }
-            RankState::Finished => {
-                self.arena.flush_counters();
-                let output = RankOutput {
-                    epochs: std::mem::take(&mut self.epochs_out),
-                    peak_mem: self.peak_mem,
-                    boundary: self.lp.n_boundary(),
-                    layers: (self.me == 0).then(|| std::mem::take(&mut self.layers)),
-                };
-                *self.out.lock().unwrap() = Some(output);
-                Flow::Done
-            }
-        }
-    }
-}
+            };
+            let scores = (score_of(&lp.val_local), score_of(&lp.test_local));
+            eval_span.stop();
+            Some(scores)
+        } else {
+            None
+        };
 
-impl bns_runtime::Task for RankTask {
-    fn bind(&mut self, waker: bns_runtime::Waker) {
-        // Senders poke this rank's waker right after enqueuing into its
-        // mailbox, so a park that raced a delivery becomes an immediate
-        // re-run (NOTIFIED) instead of a lost wakeup.
-        self.comm.set_waker(Arc::new(move || waker.wake()));
+        epochs_out.push(RankEpoch {
+            loss: global_loss,
+            sample_s,
+            compute_s,
+            comm_s,
+            reduce_s,
+            traffic,
+            flops,
+            selected: n_sel,
+            val: scores.map(|s| s.0),
+            test: scores.map(|s| s.1),
+        });
+        epoch_span.stop();
     }
 
-    fn step(&mut self) -> bns_runtime::Step {
-        // Spans recorded during this step attribute to this rank, not
-        // to whichever OS worker the scheduler picked.
-        bns_telemetry::set_thread_rank(self.me);
-        loop {
-            match self.advance() {
-                Flow::More => {}
-                Flow::Pending => return bns_runtime::Step::Park,
-                Flow::Done => return bns_runtime::Step::Done,
-            }
-        }
+    arena.flush_counters();
+    RankOutput {
+        epochs: epochs_out,
+        peak_mem,
+        boundary: lp.n_boundary(),
+        layers: (me == 0).then_some(layers),
     }
 }
 

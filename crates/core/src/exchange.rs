@@ -4,14 +4,16 @@
 //!
 //! ## Overlap architecture
 //!
-//! The serial path ([`exchange_features_serial`]) blocks on peers in
-//! fixed owner order and materializes the halo as `vstack(h_inner,
-//! h_bd)` — a full copy of the inner activation matrix per layer. The
-//! overlapped path splits that into [`send_boundary_rows`] (issue all
-//! sends, non-blocking) and [`recv_boundary_blocks`] (drain arrivals
-//! with [`RankComm::recv_any`]), so the engine can run the inner-edge
-//! partial aggregation between the two while boundary blocks are in
-//! flight.
+//! Every receive here is an `async fn` awaiting the `bns-comm` receive
+//! future, so a rank that waits on a peer parks its task instead of a
+//! thread. The serial path ([`exchange_features_serial`]) waits on
+//! peers in fixed owner order and materializes the halo as
+//! `vstack(h_inner, h_bd)` — a full copy of the inner activation matrix
+//! per layer. The overlapped path splits that into
+//! [`send_boundary_rows`] (issue all sends, never waits) and
+//! [`recv_boundary_blocks`] (take arrivals with [`RankComm::recv_any`]),
+//! so the engine can run the inner-edge partial aggregation between the
+//! two while boundary blocks are in flight.
 //!
 //! ## Determinism
 //!
@@ -74,6 +76,9 @@ fn per_owner_selection(
     lp: &LocalPartition,
     selected: &[usize],
 ) -> Vec<(usize, Range<usize>, Vec<u32>)> {
+    // The selection is resampled every epoch, so its per-owner lists
+    // are rebuilt rather than recycled.
+    // bns-allow(BNS-A005): per-owner selection rebuilt once per epoch, world-size bounded
     let mut out = Vec::new();
     let mut cursor = 0usize;
     for owner in 0..lp.owner_ranges.len() {
@@ -82,6 +87,8 @@ fn per_owner_selection(
         }
         let (s, e) = lp.owner_ranges[owner];
         let start = cursor;
+        // Moved into the send as the wire payload.
+        // bns-allow(BNS-A005): selection payload, one per owner per epoch
         let mut rel = Vec::new();
         while cursor < selected.len() && selected[cursor] < e {
             debug_assert!(selected[cursor] >= s);
@@ -96,84 +103,38 @@ fn per_owner_selection(
 /// Tells every owner which of its nodes this rank selected and learns
 /// which local rows each peer wants (Algorithm 1's selection
 /// broadcast). The relative-position vectors are moved into the sends —
-/// no clone on the send path.
-///
-/// Blocking driver over [`SelectionOp`]; cooperative tasks use the op
-/// directly and park between polls.
-pub fn exchange_selection(
+/// no clone on the send path. The result is a pure function of the
+/// message contents, so scheduling cannot change it.
+pub async fn exchange_selection(
     comm: &mut RankComm,
     lp: &LocalPartition,
     selected: &[usize],
     tag: u64,
 ) -> EpochExchange {
-    let mut op = SelectionOp::begin(comm, lp, selected, tag);
-    while !op.poll(comm, lp) {
-        comm.wait_message();
+    // bns-allow(BNS-A005): per-owner ranges rebuilt once per epoch, world-size bounded
+    let mut owner_sel = Vec::new();
+    for (owner, range, rel) in per_owner_selection(lp, selected) {
+        comm.send(owner, tag, rel, TrafficClass::Control);
+        owner_sel.push((owner, range));
     }
-    op.finish()
-}
-
-/// An in-flight selection exchange: [`SelectionOp::begin`] issues every
-/// send, each [`SelectionOp::poll`] consumes whichever peer selections
-/// have arrived, and [`SelectionOp::finish`] yields the
-/// [`EpochExchange`] once polling reported completion. The result is a
-/// pure function of the message contents, so arrival order (and
-/// therefore scheduling) cannot change it.
-pub struct SelectionOp {
-    tag: u64,
-    owner_sel: Vec<(usize, Range<usize>)>,
-    rows_to_send: Vec<Vec<usize>>,
-    remaining: Vec<usize>,
-}
-
-impl SelectionOp {
-    /// Sends this rank's per-owner selections; never blocks.
-    pub fn begin(comm: &mut RankComm, lp: &LocalPartition, selected: &[usize], tag: u64) -> Self {
-        let k = comm.world_size();
-        let me = comm.rank();
-        let mut owner_sel = Vec::new();
-        for (owner, range, rel) in per_owner_selection(lp, selected) {
-            comm.send(owner, tag, rel, TrafficClass::Control);
-            owner_sel.push((owner, range));
+    // bns-allow(BNS-A005): per-peer send lists rebuilt once per epoch, world-size bounded
+    let mut rows_to_send = vec![Vec::new(); comm.world_size()];
+    for (src, rows) in rows_to_send.iter_mut().enumerate() {
+        if src == lp.rank {
+            continue;
         }
-        Self {
-            tag,
-            owner_sel,
-            rows_to_send: vec![Vec::new(); k],
-            remaining: (0..k).filter(|&j| j != me).collect(),
-        }
+        let rel: Vec<u32> = comm.recv(src, tag).await;
+        *rows = rel
+            .iter()
+            .map(|&p| lp.send_lists[src][p as usize])
+            // Size tracks the fresh boundary sample, so a recycled
+            // buffer would just resize anyway.
+            // bns-allow(BNS-A005): per-peer send list rebuilt once per epoch
+            .collect();
     }
-
-    /// Consumes every peer selection that has arrived; returns `true`
-    /// once all peers have reported. Never blocks.
-    pub fn poll(&mut self, comm: &mut RankComm, lp: &LocalPartition) -> bool {
-        while !self.remaining.is_empty() {
-            let Some((src, rel)) = comm.try_recv_any::<Vec<u32>>(self.tag, &self.remaining) else {
-                return false;
-            };
-            self.rows_to_send[src] = rel
-                .iter()
-                .map(|&p| lp.send_lists[src][p as usize])
-                // Size tracks the fresh boundary sample, so a
-                // recycled buffer would just resize anyway.
-                // bns-allow(BNS-A005): per-peer send list rebuilt once per epoch
-                .collect();
-            self.remaining.retain(|&j| j != src);
-        }
-        true
-    }
-
-    /// The completed exchange.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`SelectionOp::poll`] returned `true`.
-    pub fn finish(self) -> EpochExchange {
-        assert!(self.remaining.is_empty(), "selection exchange incomplete");
-        EpochExchange {
-            rows_to_send: self.rows_to_send,
-            owner_sel: self.owner_sel,
-        }
+    EpochExchange {
+        rows_to_send,
+        owner_sel,
     }
 }
 
@@ -324,11 +285,11 @@ fn unpack_block(dst: &mut [f32], wire: &[u8], d: usize, scale: f32, precision: W
     }
 }
 
-/// Serial reference exchange (retained for eval and as the bitwise
-/// ground truth the overlapped path is tested against): sends the
-/// requested feature rows to every peer, receives blocks in fixed owner
-/// order, and returns the stacked `vstack(h_inner, h_bd)`.
-pub fn exchange_features_serial(
+/// Serial reference exchange (the bitwise ground truth the overlapped
+/// path is tested against): sends the requested feature rows to every
+/// peer, receives blocks in fixed owner order, and returns the stacked
+/// `vstack(h_inner, h_bd)`.
+pub async fn exchange_features_serial(
     comm: &mut RankComm,
     ex: &EpochExchange,
     h_inner: &Matrix,
@@ -349,7 +310,7 @@ pub fn exchange_features_serial(
         if range.is_empty() {
             continue;
         }
-        let data: Vec<f32> = comm.recv(*owner, tag);
+        let data: Vec<f32> = comm.recv(*owner, tag).await;
         debug_assert_eq!(data.len(), range.len() * d);
         h_bd.as_mut_slice()[range.start * d..range.end * d].copy_from_slice(&data);
     }
@@ -359,43 +320,11 @@ pub fn exchange_features_serial(
     h_inner.vstack(&h_bd)
 }
 
-/// Arena-backed full-boundary exchange for evaluation and serving-time
-/// (no-sampling) passes: identical wire protocol and bitwise-identical
-/// result to [`exchange_features_serial`], but send staging comes from
-/// the arena's free list and the boundary block reuses the arena's
-/// capacity — so a rank that evaluates (or serves) repeatedly stops
-/// allocating on the exchange path after the first pass. Only the final
-/// `vstack` (whose lifetime is owned by the caller's layer loop)
-/// allocates.
-pub fn exchange_features_eval(
-    comm: &mut RankComm,
-    ex: &EpochExchange,
-    h_inner: &Matrix,
-    n_selected: usize,
-    feature_scale: f32,
-    tag: u64,
-    arena: &mut ExchangeArena,
-) -> Matrix {
-    send_boundary_rows(comm, ex, h_inner, tag, arena, WirePrecision::Exact);
-    recv_boundary_blocks(
-        comm,
-        ex,
-        n_selected,
-        h_inner.cols(),
-        feature_scale,
-        tag,
-        arena,
-        None,
-        WirePrecision::Exact,
-    );
-    h_inner.vstack(arena.boundary())
-}
-
 /// Serial reference gradient exchange: sends boundary-row gradients
 /// back to their owners (scaled by `feature_scale`, the chain rule
 /// through the `H/p` rescale) and accumulates peers' contributions in
 /// fixed ascending peer order.
-pub fn exchange_gradients_serial(
+pub async fn exchange_gradients_serial(
     comm: &mut RankComm,
     ex: &EpochExchange,
     d_inner: &mut Matrix,
@@ -420,15 +349,15 @@ pub fn exchange_gradients_serial(
         if rows.is_empty() {
             continue;
         }
-        let data: Vec<f32> = comm.recv(j, tag);
+        let data: Vec<f32> = comm.recv(j, tag).await;
         let block = Matrix::from_vec(rows.len(), d, data);
         d_inner.scatter_add_rows(rows, &block);
     }
 }
 
 /// Overlapped-path phase 1: stages the requested feature rows into
-/// arena buffers and issues every send. Returns immediately (sends are
-/// non-blocking); call [`recv_boundary_blocks`] after running whatever
+/// arena buffers and issues every send. Returns immediately (sends
+/// never wait); await [`recv_boundary_blocks`] after running whatever
 /// compute should overlap the transfer.
 ///
 /// Non-exact precisions pack the staged rows (round-to-nearest-even —
@@ -462,19 +391,46 @@ pub fn send_boundary_rows(
     }
 }
 
-/// Overlapped-path phase 2: drains boundary blocks in **arrival**
-/// order ([`RankComm::recv_any`]) into their fixed disjoint row ranges
-/// of the arena's boundary block, applying `feature_scale` during the
-/// copy — bitwise identical to receive-in-owner-order + whole-matrix
-/// scale, with no head-of-line blocking. Received payload buffers are
-/// recycled into the arena.
+/// Receives the next block with `tag` from whichever of `from` delivers
+/// first (the receive emits the `comm.recv_any_*` overlap counters),
+/// and counts it into the arena's overlap telemetry: a block from
+/// anyone but the lowest pending peer is one the serial path would
+/// have head-of-line blocked on.
+async fn recv_block(
+    comm: &mut RankComm,
+    tag: u64,
+    from: &[usize],
+    arena: &mut ExchangeArena,
+    precision: WirePrecision,
+) -> (usize, BlockPayload) {
+    let got = if precision == WirePrecision::Exact {
+        let (src, data) = comm.recv_any(tag, from).await;
+        (src, BlockPayload::Exact(data))
+    } else {
+        let (src, wire) = comm.recv_any(tag, from).await;
+        (src, BlockPayload::Wire(wire))
+    };
+    arena.blocks += 1;
+    if got.0 != from[0] {
+        arena.out_of_order_blocks += 1;
+    }
+    got
+}
+
+/// Overlapped-path phase 2: takes boundary blocks in **arrival** order
+/// ([`RankComm::recv_any`]) into their fixed disjoint row ranges of the
+/// arena's boundary block, applying `feature_scale` during the copy —
+/// bitwise identical to receive-in-owner-order + whole-matrix scale,
+/// with no head-of-line blocking. Received payload buffers are
+/// recycled into the arena. `precision` must match what the peers
+/// passed to [`send_boundary_rows`].
 ///
 /// With `stale` (PipeGCN pipelining), the fresh block is swapped into
 /// the cache and the *previous* epoch's block becomes current (first
 /// epoch: fresh is used directly and cached). Access the result via
 /// [`ExchangeArena::boundary`].
 #[allow(clippy::too_many_arguments)]
-pub fn recv_boundary_blocks(
+pub async fn recv_boundary_blocks(
     comm: &mut RankComm,
     ex: &EpochExchange,
     n_selected: usize,
@@ -485,20 +441,43 @@ pub fn recv_boundary_blocks(
     stale: Option<&mut Option<Matrix>>,
     precision: WirePrecision,
 ) {
-    let mut op = BoundaryRecvOp::begin(ex, n_selected, d, feature_scale, tag, arena, precision);
-    while !op.poll(comm, ex, arena) {
-        comm.wait_message();
+    arena.reset_h_bd(n_selected, d);
+    let mut remaining: Vec<usize> = ex
+        .owner_sel
+        .iter()
+        .filter(|(_, r)| !r.is_empty())
+        .map(|(o, _)| *o)
+        // bns-allow(BNS-A005): pending-owner worklist, once per epoch, world-size bounded
+        .collect();
+    while !remaining.is_empty() {
+        let (src, payload) = recv_block(comm, tag, &remaining, arena, precision).await;
+        remaining.retain(|&o| o != src);
+        let range = &ex
+            .owner_sel
+            .iter()
+            .find(|(o, _)| *o == src)
+            .expect("unexpected source")
+            .1;
+        let dst = &mut arena.h_bd.as_mut_slice()[range.start * d..range.end * d];
+        match payload {
+            BlockPayload::Exact(data) => {
+                debug_assert_eq!(data.len(), range.len() * d);
+                if feature_scale != 1.0 {
+                    for (a, b) in dst.iter_mut().zip(&data) {
+                        *a = b * feature_scale;
+                    }
+                } else {
+                    dst.copy_from_slice(&data);
+                }
+                arena.recycle(data);
+            }
+            BlockPayload::Wire(wire) => {
+                debug_assert_eq!(wire.len(), precision.payload_bytes(range.len(), d));
+                unpack_block(dst, &wire, d, feature_scale, precision);
+                arena.recycle_u8(wire);
+            }
+        }
     }
-    swap_boundary_stale(arena, stale);
-}
-
-/// The PipeGCN staleness swap applied after a boundary receive
-/// completes: the fresh block is cached and the previous epoch's block
-/// becomes current (first epoch: fresh is used directly and cached).
-/// `stale = None` is a no-op. Split out of [`recv_boundary_blocks`] so
-/// the cooperative engine can apply it when [`BoundaryRecvOp::poll`]
-/// reports completion.
-pub fn swap_boundary_stale(arena: &mut ExchangeArena, stale: Option<&mut Option<Matrix>>) {
     if let Some(cache) = stale {
         match cache.take() {
             Some(mut prev) => {
@@ -514,122 +493,6 @@ pub fn swap_boundary_stale(arena: &mut ExchangeArena, stale: Option<&mut Option<
     }
 }
 
-/// An in-flight boundary-block receive ([`recv_boundary_blocks`] phase
-/// only, sends are issued separately via [`send_boundary_rows`]).
-/// Blocks are folded into their fixed disjoint row ranges as they
-/// arrive, so completion order cannot change the assembled matrix.
-///
-/// Emits the same `comm.recv_any_ready`/`comm.recv_any_waited` overlap
-/// telemetry as the blocking path: a block consumed without an
-/// intervening empty poll counts as overlapped ("ready").
-pub struct BoundaryRecvOp {
-    tag: u64,
-    d: usize,
-    feature_scale: f32,
-    precision: WirePrecision,
-    remaining: Vec<usize>,
-    waited: bool,
-}
-
-impl BoundaryRecvOp {
-    /// Resets the arena's boundary block and records which owners still
-    /// owe a block. Never blocks. `precision` must match what the peers
-    /// passed to [`send_boundary_rows`] — it decides the payload type
-    /// this op receives.
-    #[allow(clippy::too_many_arguments)]
-    pub fn begin(
-        ex: &EpochExchange,
-        n_selected: usize,
-        d: usize,
-        feature_scale: f32,
-        tag: u64,
-        arena: &mut ExchangeArena,
-        precision: WirePrecision,
-    ) -> Self {
-        arena.reset_h_bd(n_selected, d);
-        let remaining: Vec<usize> = ex
-            .owner_sel
-            .iter()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(o, _)| *o)
-            // bns-allow(BNS-A005): pending-owner worklist, once per epoch, world-size bounded
-            .collect();
-        Self {
-            tag,
-            d,
-            feature_scale,
-            precision,
-            remaining,
-            waited: false,
-        }
-    }
-
-    /// Folds every boundary block that has arrived; returns `true` once
-    /// all owners delivered. Never blocks. The caller applies
-    /// [`swap_boundary_stale`] after completion if pipelining.
-    pub fn poll(
-        &mut self,
-        comm: &mut RankComm,
-        ex: &EpochExchange,
-        arena: &mut ExchangeArena,
-    ) -> bool {
-        let d = self.d;
-        while !self.remaining.is_empty() {
-            let got = if self.precision == WirePrecision::Exact {
-                comm.try_recv_any::<Vec<f32>>(self.tag, &self.remaining)
-                    .map(|(s, v)| (s, BlockPayload::Exact(v)))
-            } else {
-                comm.try_recv_any::<Vec<u8>>(self.tag, &self.remaining)
-                    .map(|(s, v)| (s, BlockPayload::Wire(v)))
-            };
-            let Some((src, payload)) = got else {
-                self.waited = true;
-                return false;
-            };
-            bns_telemetry::counter_add(
-                if self.waited {
-                    "comm.recv_any_waited"
-                } else {
-                    "comm.recv_any_ready"
-                },
-                1,
-            );
-            self.waited = false;
-            arena.blocks += 1;
-            if src != self.remaining[0] {
-                arena.out_of_order_blocks += 1;
-            }
-            self.remaining.retain(|&o| o != src);
-            let range = &ex
-                .owner_sel
-                .iter()
-                .find(|(o, _)| *o == src)
-                .expect("unexpected source")
-                .1;
-            let dst = &mut arena.h_bd.as_mut_slice()[range.start * d..range.end * d];
-            match payload {
-                BlockPayload::Exact(data) => {
-                    debug_assert_eq!(data.len(), range.len() * d);
-                    if self.feature_scale != 1.0 {
-                        for (a, b) in dst.iter_mut().zip(&data) {
-                            *a = b * self.feature_scale;
-                        }
-                    } else {
-                        dst.copy_from_slice(&data);
-                    }
-                    arena.recycle(data);
-                }
-                BlockPayload::Wire(wire) => {
-                    debug_assert_eq!(wire.len(), self.precision.payload_bytes(range.len(), d));
-                    unpack_block(dst, &wire, d, self.feature_scale, self.precision);
-                    arena.recycle_u8(wire);
-                }
-            }
-        }
-        true
-    }
-}
-
 /// Overlapped gradient exchange: issues all sends (scaled into arena
 /// buffers), receives peers' contributions in arrival order into
 /// per-peer staging slots, then applies them to `d_inner` in **fixed
@@ -639,16 +502,22 @@ impl BoundaryRecvOp {
 ///
 /// With `stale` (PipeGCN), fresh contributions are cached per peer and
 /// the previous epoch's are applied instead (first epoch applies
-/// fresh).
+/// fresh). `d_bd` is taken by value and freed once the sends are out.
 ///
-/// Non-exact precisions pack each block with seeded stochastic rounding
-/// (`sr_seed` is the run-level stream seed; see [`GradRecvOp::begin`]).
+/// Non-exact precisions pack each scaled block with stochastic
+/// rounding and dequantize arrivals into the same f32 staging slots the
+/// exact path uses, so the fixed-order scatter-add (and the PipeGCN
+/// stale cache) are precision-agnostic. The per-destination stream
+/// seed is `codec::rand_at(sr_seed, tag, owner)` — `tag` already
+/// encodes epoch and layer, so every (epoch, layer, destination) block
+/// gets an independent stream that is a pure function of the run seed,
+/// bitwise reproducible at any thread/worker/lane count.
 #[allow(clippy::too_many_arguments)]
-pub fn exchange_gradients_overlapped(
+pub async fn exchange_gradients_overlapped(
     comm: &mut RankComm,
     ex: &EpochExchange,
     d_inner: &mut Matrix,
-    d_bd: &Matrix,
+    d_bd: Matrix,
     feature_scale: f32,
     tag: u64,
     arena: &mut ExchangeArena,
@@ -656,209 +525,84 @@ pub fn exchange_gradients_overlapped(
     precision: WirePrecision,
     sr_seed: u64,
 ) {
-    let mut op = GradRecvOp::begin(
-        comm,
-        ex,
-        d_bd,
-        feature_scale,
-        tag,
-        arena,
-        precision,
-        sr_seed,
-    );
-    while !op.poll(comm, ex, arena) {
-        comm.wait_message();
-    }
-    op.finish(ex, d_inner, arena, stale);
-}
-
-/// An in-flight gradient exchange: [`GradRecvOp::begin`] stages and
-/// issues every (scaled) send, [`GradRecvOp::poll`] parks arrivals in
-/// per-peer staging slots, and [`GradRecvOp::finish`] applies the
-/// contributions to `d_inner` in **fixed ascending peer order** —
-/// scatter-add targets of different peers can overlap, so
-/// arrival-order application would not be deterministic.
-pub struct GradRecvOp {
-    tag: u64,
-    d: usize,
-    precision: WirePrecision,
-    slots: Vec<Vec<f32>>,
-    remaining: Vec<usize>,
-    waited: bool,
-}
-
-impl GradRecvOp {
-    /// Issues every gradient send (scaled by `feature_scale`, the chain
-    /// rule through the `H/p` rescale). Never blocks.
-    ///
-    /// Non-exact precisions pack each scaled block with stochastic
-    /// rounding. The per-destination stream seed is
-    /// `codec::rand_at(sr_seed, tag, owner)` — `tag` already encodes
-    /// epoch and layer, so every (epoch, layer, destination) block gets
-    /// an independent stream that is a pure function of the run seed,
-    /// bitwise reproducible at any thread/worker/lane count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn begin(
-        comm: &mut RankComm,
-        ex: &EpochExchange,
-        d_bd: &Matrix,
-        feature_scale: f32,
-        tag: u64,
-        arena: &mut ExchangeArena,
-        precision: WirePrecision,
-        sr_seed: u64,
-    ) -> Self {
-        let d = d_bd.cols();
-        for (owner, range) in &ex.owner_sel {
-            if range.is_empty() {
-                continue;
-            }
-            let mut buf = arena.take_buf(range.len() * d);
-            let src = &d_bd.as_slice()[range.start * d..range.end * d];
-            if feature_scale != 1.0 {
-                for (a, b) in buf.iter_mut().zip(src) {
-                    *a = b * feature_scale;
-                }
-            } else {
-                buf.copy_from_slice(src);
-            }
-            if precision == WirePrecision::Exact {
-                comm.send(*owner, tag, buf, TrafficClass::Boundary);
-            } else {
-                let stream = codec::rand_at(sr_seed, tag, *owner as u64);
-                let wire = pack_block(arena, &buf, d, precision, Some(stream));
-                arena.recycle(buf);
-                comm.send(*owner, tag, wire, TrafficClass::Boundary);
-            }
+    let d = d_bd.cols();
+    for (owner, range) in &ex.owner_sel {
+        if range.is_empty() {
+            continue;
         }
-        let mut slots = std::mem::take(&mut arena.grad_slots);
-        slots.resize_with(comm.world_size(), Vec::new);
-        let remaining: Vec<usize> = ex
-            .rows_to_send
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(j, _)| j)
-            // bns-allow(BNS-A005): pending-peer worklist, once per epoch, world-size bounded
-            .collect();
-        Self {
-            tag,
-            d,
-            precision,
-            slots,
-            remaining,
-            waited: false,
+        let mut buf = arena.take_buf(range.len() * d);
+        let src = &d_bd.as_slice()[range.start * d..range.end * d];
+        if feature_scale != 1.0 {
+            for (a, b) in buf.iter_mut().zip(src) {
+                *a = b * feature_scale;
+            }
+        } else {
+            buf.copy_from_slice(src);
+        }
+        if precision == WirePrecision::Exact {
+            comm.send(*owner, tag, buf, TrafficClass::Boundary);
+        } else {
+            let stream = codec::rand_at(sr_seed, tag, *owner as u64);
+            let wire = pack_block(arena, &buf, d, precision, Some(stream));
+            arena.recycle(buf);
+            comm.send(*owner, tag, wire, TrafficClass::Boundary);
         }
     }
-
-    /// Stashes every gradient block that has arrived; returns `true`
-    /// once all peers delivered. Never blocks.
-    pub fn poll(
-        &mut self,
-        comm: &mut RankComm,
-        ex: &EpochExchange,
-        arena: &mut ExchangeArena,
-    ) -> bool {
-        while !self.remaining.is_empty() {
-            let got = if self.precision == WirePrecision::Exact {
-                comm.try_recv_any::<Vec<f32>>(self.tag, &self.remaining)
-                    .map(|(s, v)| (s, BlockPayload::Exact(v)))
-            } else {
-                comm.try_recv_any::<Vec<u8>>(self.tag, &self.remaining)
-                    .map(|(s, v)| (s, BlockPayload::Wire(v)))
-            };
-            let Some((src, payload)) = got else {
-                self.waited = true;
-                return false;
-            };
-            bns_telemetry::counter_add(
-                if self.waited {
-                    "comm.recv_any_waited"
-                } else {
-                    "comm.recv_any_ready"
-                },
-                1,
-            );
-            self.waited = false;
-            arena.blocks += 1;
-            if src != self.remaining[0] {
-                arena.out_of_order_blocks += 1;
+    // Free the boundary gradients before waiting: every rank parked
+    // here would otherwise hold its block until its peers deliver.
+    drop(d_bd);
+    let mut slots = std::mem::take(&mut arena.grad_slots);
+    slots.resize_with(comm.world_size(), Vec::new);
+    let mut remaining: Vec<usize> = ex
+        .rows_to_send
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| !r.is_empty())
+        .map(|(j, _)| j)
+        // bns-allow(BNS-A005): pending-peer worklist, once per epoch, world-size bounded
+        .collect();
+    while !remaining.is_empty() {
+        let (src, payload) = recv_block(comm, tag, &remaining, arena, precision).await;
+        remaining.retain(|&j| j != src);
+        let rows = ex.rows_to_send[src].len();
+        slots[src] = match payload {
+            BlockPayload::Exact(data) => {
+                debug_assert_eq!(data.len(), rows * d);
+                data
             }
-            self.remaining.retain(|&j| j != src);
-            let rows = ex.rows_to_send[src].len();
-            match payload {
-                BlockPayload::Exact(data) => {
-                    debug_assert_eq!(data.len(), rows * self.d);
-                    self.slots[src] = data;
-                }
-                BlockPayload::Wire(wire) => {
-                    // Dequantize into an f32 staging slot so the
-                    // fixed-order scatter-add in `finish` (and the
-                    // PipeGCN stale cache) are precision-agnostic.
-                    debug_assert_eq!(wire.len(), self.precision.payload_bytes(rows, self.d));
-                    let mut data = arena.take_buf(rows * self.d);
-                    unpack_block(&mut data, &wire, self.d, 1.0, self.precision);
-                    arena.recycle_u8(wire);
-                    self.slots[src] = data;
+            BlockPayload::Wire(wire) => {
+                debug_assert_eq!(wire.len(), precision.payload_bytes(rows, d));
+                let mut data = arena.take_buf(rows * d);
+                unpack_block(&mut data, &wire, d, 1.0, precision);
+                arena.recycle_u8(wire);
+                data
+            }
+        };
+    }
+    // With PipeGCN staleness the previous epoch's contributions are
+    // applied and the fresh ones cached (first epoch: fresh, cached).
+    let prev = stale.as_ref().and_then(|cache| cache.as_ref());
+    let apply = prev.unwrap_or(&slots);
+    for (j, rows) in ex.rows_to_send.iter().enumerate() {
+        if !rows.is_empty() {
+            d_inner.scatter_add_rows_slice(rows, &apply[j]);
+        }
+    }
+    match stale {
+        Some(cache) => {
+            if let Some(prev) = cache.replace(slots) {
+                for buf in prev {
+                    arena.recycle(buf);
                 }
             }
         }
-        true
-    }
-
-    /// Applies the received contributions to `d_inner` (fixed ascending
-    /// peer order) and returns the staging slots to the arena. With
-    /// `stale` (PipeGCN), fresh contributions are cached per peer and
-    /// the previous epoch's are applied instead (first epoch applies
-    /// fresh).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`GradRecvOp::poll`] returned `true`.
-    pub fn finish(
-        self,
-        ex: &EpochExchange,
-        d_inner: &mut Matrix,
-        arena: &mut ExchangeArena,
-        stale: Option<&mut Option<Vec<Vec<f32>>>>,
-    ) {
-        assert!(self.remaining.is_empty(), "gradient exchange incomplete");
-        let mut slots = self.slots;
-        match stale {
-            None => {
-                for (j, rows) in ex.rows_to_send.iter().enumerate() {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    let data = std::mem::take(&mut slots[j]);
-                    d_inner.scatter_add_rows_slice(rows, &data);
-                    arena.recycle(data);
+        None => {
+            for (j, rows) in ex.rows_to_send.iter().enumerate() {
+                if !rows.is_empty() {
+                    arena.recycle(std::mem::take(&mut slots[j]));
                 }
-                arena.grad_slots = slots;
             }
-            Some(cache) => match cache.take() {
-                Some(prev) => {
-                    for (j, rows) in ex.rows_to_send.iter().enumerate() {
-                        if rows.is_empty() {
-                            continue;
-                        }
-                        d_inner.scatter_add_rows_slice(rows, &prev[j]);
-                    }
-                    for buf in prev {
-                        arena.recycle(buf);
-                    }
-                    *cache = Some(slots);
-                }
-                None => {
-                    for (j, rows) in ex.rows_to_send.iter().enumerate() {
-                        if rows.is_empty() {
-                            continue;
-                        }
-                        d_inner.scatter_add_rows_slice(rows, &slots[j]);
-                    }
-                    *cache = Some(slots);
-                }
-            },
+            arena.grad_slots = slots;
         }
     }
 }

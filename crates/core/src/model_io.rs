@@ -12,7 +12,11 @@
 //!
 //! The format is versioned: [`from_bytes`](TrainedModel::from_bytes)
 //! rejects unknown versions/tags with a descriptive [`ModelIoError`]
-//! instead of misinterpreting bytes.
+//! instead of misinterpreting bytes. Model files arrive from outside,
+//! so decoding treats every count and shape as hostile: sizes use
+//! checked arithmetic, nothing is allocated before the bytes backing it
+//! are known to exist, and the layer shapes must chain. Any input
+//! decodes to `Ok` or `Err` — never a panic or an abort.
 
 use crate::engine::TrainedModel;
 use bns_nn::{Activation, GatLayer, GatModel, GcnLayer, SageLayer, SageModel};
@@ -31,6 +35,10 @@ const ACT_RELU: u8 = 0;
 const ACT_IDENTITY: u8 = 1;
 const ACT_LEAKY: u8 = 2;
 const ACT_ELU: u8 = 3;
+
+/// Fewest bytes one encoded layer can take (activation tag, dropout,
+/// two matrix headers); bounds a hostile layer count by the input size.
+const MIN_LAYER_BYTES: usize = 1 + 4 + 2 * 8;
 
 /// Decode failure: truncated buffer, bad magic, unknown version or tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,15 +94,19 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], ModelIoError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             // Reader is model IO, reached only via a name-collision
             // edge (Option::take).
             // bns-allow(BNS-A005): error-path message formatting
             return Err(err(format!(
                 "truncated: need {n} bytes at offset {}, have {}",
                 self.pos,
-                self.buf.len() - self.pos
+                self.remaining()
             )));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -117,10 +129,11 @@ impl<'a> Reader<'a> {
     fn matrix(&mut self) -> Result<Matrix, ModelIoError> {
         let rows = self.u32()? as usize;
         let cols = self.u32()? as usize;
-        let n = rows
+        let bytes = rows
             .checked_mul(cols)
+            .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| err("matrix shape overflow"))?;
-        let raw = self.take(n * 4)?;
+        let raw = self.take(bytes)?;
         let data = raw
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
@@ -137,6 +150,45 @@ impl<'a> Reader<'a> {
             t => Err(err(format!("unknown activation tag {t}"))),
         }
     }
+}
+
+/// Each layer's `(d_in, d_out)` after checking its own matrices agree;
+/// then the chain `d_out(l) == d_in(l + 1)` across layers.
+fn check_shapes(model: &TrainedModel) -> Result<(), ModelIoError> {
+    let row = |m: &Matrix, d_out: usize| m.rows() == 1 && m.cols() == d_out;
+    let dims: Vec<Option<(usize, usize)>> = match model {
+        TrainedModel::Sage(m) => m
+            .layers
+            .iter()
+            .map(|l| {
+                let (i, o) = (l.w_self.rows(), l.w_self.cols());
+                (l.w_neigh.shape() == (i, o) && row(&l.b, o)).then_some((i, o))
+            })
+            .collect(),
+        TrainedModel::Gat(m) => m
+            .layers
+            .iter()
+            .map(|l| {
+                let (i, o) = (l.w.rows(), l.w.cols());
+                (row(&l.a_l, o) && row(&l.a_r, o)).then_some((i, o))
+            })
+            .collect(),
+        TrainedModel::Gcn(layers) => layers
+            .iter()
+            .map(|l| row(&l.b, l.w.cols()).then_some((l.w.rows(), l.w.cols())))
+            .collect(),
+    };
+    let mut prev_out: Option<usize> = None;
+    for (l, d) in dims.into_iter().enumerate() {
+        let (d_in, d_out) = d.ok_or_else(|| err(format!("layer {l}: inconsistent shapes")))?;
+        if prev_out.is_some_and(|p| p != d_in) {
+            return Err(err(format!(
+                "layer {l}: input width {d_in} does not match the previous output"
+            )));
+        }
+        prev_out = Some(d_out);
+    }
+    Ok(())
 }
 
 impl TrainedModel {
@@ -198,6 +250,12 @@ impl TrainedModel {
         }
         let arch = r.u8()?;
         let n_layers = r.u32()? as usize;
+        if n_layers == 0 || n_layers > r.remaining() / MIN_LAYER_BYTES {
+            return Err(err(format!(
+                "layer count {n_layers} does not fit the {} bytes that follow",
+                r.remaining()
+            )));
+        }
         let model = match arch {
             ARCH_SAGE => {
                 let mut layers = Vec::with_capacity(n_layers);
@@ -253,6 +311,7 @@ impl TrainedModel {
                 bytes.len() - r.pos
             )));
         }
+        check_shapes(&model)?;
         Ok(model)
     }
 
@@ -372,6 +431,63 @@ mod tests {
         let mut bad_arch = good;
         bad_arch[8] = 0xEE;
         assert!(TrainedModel::from_bytes(&bad_arch).is_err(), "arch tag");
+    }
+
+    /// Seeded byte mutations of saved models — every truncation, random
+    /// bit flips, a `u32::MAX` layer count and a 2³¹×2³¹ matrix header —
+    /// must decode to `Ok` or `Err`, never panic or abort.
+    #[test]
+    fn hostile_bytes_return_ok_or_err() {
+        let decode = |bytes: &[u8], what: &str| {
+            let got = std::panic::catch_unwind(|| TrainedModel::from_bytes(bytes).is_ok());
+            assert!(got.is_ok(), "{what}: from_bytes panicked");
+            got.unwrap()
+        };
+        let mut rng = SeededRng::new(0xbad5eed);
+        for model in sample_models() {
+            let good = model.to_bytes();
+            assert!(decode(&good, "unmodified"));
+            for len in 0..good.len() {
+                assert!(!decode(&good[..len], "truncation"), "prefix {len} decoded");
+            }
+            for _ in 0..2000 {
+                let mut bad = good.clone();
+                for _ in 0..1 + rng.next_u64() % 4 {
+                    let bit = rng.next_u64() as usize % (8 * bad.len());
+                    bad[bit / 8] ^= 1 << (bit % 8);
+                }
+                decode(&bad, "bit flips");
+            }
+            // Layer count (after magic, version and arch tag).
+            let mut huge_layers = good.clone();
+            huge_layers[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(!decode(&huge_layers, "u32::MAX layers"));
+            // First matrix header: after the count, the first layer's
+            // activation tag and dropout (and GAT's slope).
+            let at = 13
+                + 1
+                + 4
+                + if matches!(model, TrainedModel::Gat(_)) {
+                    4
+                } else {
+                    0
+                };
+            let mut huge_matrix = good.clone();
+            huge_matrix[at..at + 4].copy_from_slice(&(1u32 << 31).to_le_bytes());
+            huge_matrix[at + 4..at + 8].copy_from_slice(&(1u32 << 31).to_le_bytes());
+            assert!(!decode(&huge_matrix, "2^31 x 2^31 matrix"));
+        }
+    }
+
+    #[test]
+    fn rejects_broken_layer_chain() {
+        let mut rng = SeededRng::new(3);
+        let model = TrainedModel::Gcn(vec![
+            GcnLayer::new(5, 4, Activation::Relu, 0.0, &mut rng),
+            GcnLayer::new(3, 2, Activation::Identity, 0.0, &mut rng),
+        ]);
+        let e = TrainedModel::from_bytes(&model.to_bytes()).unwrap_err();
+        assert!(e.to_string().contains("layer 1"), "{e}");
     }
 
     #[test]

@@ -12,18 +12,18 @@
 //! RNG stream included), the gradient scatter-add direction, and arena
 //! buffer reuse across rounds.
 
-use bns_comm::{run_ranks, WirePrecision};
+use bns_comm::{create_world, WirePrecision};
 use bns_data::SyntheticSpec;
 use bns_gcn::engine::{train_with_plan, ModelArch, TrainConfig};
 use bns_gcn::exchange::{
-    exchange_features_eval, exchange_features_serial, exchange_gradients_overlapped,
-    exchange_gradients_serial, exchange_selection, recv_boundary_blocks, send_boundary_rows,
-    ExchangeArena,
+    exchange_features_serial, exchange_gradients_overlapped, exchange_gradients_serial,
+    exchange_selection, recv_boundary_blocks, send_boundary_rows, ExchangeArena,
 };
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
 use bns_nn::{Activation, SageLayer};
 use bns_partition::{Partitioner, RandomPartitioner};
+use bns_runtime::{run_tasks, BoxFuture};
 use bns_tensor::pool::{self, ThreadPool};
 use bns_tensor::{Matrix, SeededRng};
 use proptest::prelude::*;
@@ -49,106 +49,110 @@ fn check_world(k: usize, p: f64, seed: u64, threads: usize) {
     let ds = Arc::new(SyntheticSpec::reddit_sim().with_nodes(260).generate(7));
     let part = RandomPartitioner.partition(&ds.graph, k, seed);
     let plan = Arc::new(PartitionPlan::build(&ds, &part));
-    let plan2 = Arc::clone(&plan);
-    run_ranks(k, move |mut comm| {
-        let me = comm.rank();
-        let _guard = (threads > 1).then(|| pool::install(ThreadPool::new(threads)));
-        let lp = Arc::clone(&plan2.parts[me]);
-        let mut rng = SeededRng::new(seed ^ 0xab5).fork(me as u64 + 1);
-        let topo = build_epoch_topology(&lp, &BoundarySampling::Bns { p }, 0, seed, &mut rng);
-        let ex = exchange_selection(&mut comm, &lp, &topo.selected, 0);
-        let n_in = lp.n_inner();
-        let n_sel = topo.selected.len();
-        let scale = topo.feature_scale;
-        let mut arena = ExchangeArena::new();
-        for round in 0..3u64 {
-            let d = 2 + ((seed + round) % 6) as usize;
-            let mut data_rng = SeededRng::new(seed ^ (round << 8)).fork(me as u64);
-            let h_inner = Matrix::random_normal(n_in, d, 0.0, 1.0, &mut data_rng);
-            let tag = 10 + round * 5;
+    let plan = &plan;
+    let ranks = create_world(k)
+        .into_iter()
+        .map(|mut comm| -> BoxFuture<'_, ()> {
+            Box::pin(async move {
+                let me = comm.rank();
+                let lp = Arc::clone(&plan.parts[me]);
+                let mut rng = SeededRng::new(seed ^ 0xab5).fork(me as u64 + 1);
+                let topo =
+                    build_epoch_topology(&lp, &BoundarySampling::Bns { p }, 0, seed, &mut rng);
+                let ex = exchange_selection(&mut comm, &lp, &topo.selected, 0).await;
+                let n_in = lp.n_inner();
+                let n_sel = topo.selected.len();
+                let scale = topo.feature_scale;
+                let mut arena = ExchangeArena::new();
+                for round in 0..3u64 {
+                    let d = 2 + ((seed + round) % 6) as usize;
+                    let mut data_rng = SeededRng::new(seed ^ (round << 8)).fork(me as u64);
+                    let h_inner = Matrix::random_normal(n_in, d, 0.0, 1.0, &mut data_rng);
+                    let tag = 10 + round * 5;
 
-            // Feature exchange: serial reference vs overlapped.
-            let h_full = exchange_features_serial(&mut comm, &ex, &h_inner, n_sel, scale, tag);
-            send_boundary_rows(
-                &mut comm,
-                &ex,
-                &h_inner,
-                tag + 1,
-                &mut arena,
-                WirePrecision::Exact,
-            );
-            recv_boundary_blocks(
-                &mut comm,
-                &ex,
-                n_sel,
-                d,
-                scale,
-                tag + 1,
-                &mut arena,
-                None,
-                WirePrecision::Exact,
-            );
-            assert_bitwise(
-                &h_full,
-                &h_inner.vstack(arena.boundary()),
-                "feature exchange",
-            );
+                    // Feature exchange: serial reference vs overlapped.
+                    let h_full =
+                        exchange_features_serial(&mut comm, &ex, &h_inner, n_sel, scale, tag).await;
+                    send_boundary_rows(
+                        &mut comm,
+                        &ex,
+                        &h_inner,
+                        tag + 1,
+                        &mut arena,
+                        WirePrecision::Exact,
+                    );
+                    recv_boundary_blocks(
+                        &mut comm,
+                        &ex,
+                        n_sel,
+                        d,
+                        scale,
+                        tag + 1,
+                        &mut arena,
+                        None,
+                        WirePrecision::Exact,
+                    )
+                    .await;
+                    assert_bitwise(
+                        &h_full,
+                        &h_inner.vstack(arena.boundary()),
+                        "feature exchange",
+                    );
 
-            // The one-call arena-backed eval/serving exchange (what the
-            // engine's selects_all eval path now uses) must also match
-            // the serial reference bitwise.
-            let h_eval =
-                exchange_features_eval(&mut comm, &ex, &h_inner, n_sel, scale, tag + 4, &mut arena);
-            assert_bitwise(&h_full, &h_eval, "eval exchange");
+                    // Segmented forward composed on the overlapped halo vs the
+                    // fused forward on the serial halo, identical RNG streams
+                    // (dropout draws must line up row for row).
+                    let mut init = SeededRng::new(seed ^ 0x1a7e).fork(me as u64);
+                    let layer = SageLayer::new(d, 4, Activation::Relu, 0.4, &mut init);
+                    let mut rng_fused = SeededRng::new(seed ^ (round << 16)).fork(me as u64);
+                    let mut rng_seg = rng_fused.clone();
+                    let (out_fused, _) = layer.forward(
+                        &topo.graph,
+                        &h_full,
+                        n_in,
+                        &topo.row_scale,
+                        true,
+                        &mut rng_fused,
+                    );
+                    let partial = layer.forward_inner(&topo.graph, &h_inner, true, &mut rng_seg);
+                    let (out_seg, _) = layer.forward_boundary(
+                        &topo.graph,
+                        partial,
+                        arena.boundary(),
+                        &topo.row_scale,
+                        true,
+                        &mut rng_seg,
+                    );
+                    assert_bitwise(&out_fused, &out_seg, "segmented forward");
 
-            // Segmented forward composed on the overlapped halo vs the
-            // fused forward on the serial halo, identical RNG streams
-            // (dropout draws must line up row for row).
-            let mut init = SeededRng::new(seed ^ 0x1a7e).fork(me as u64);
-            let layer = SageLayer::new(d, 4, Activation::Relu, 0.4, &mut init);
-            let mut rng_fused = SeededRng::new(seed ^ (round << 16)).fork(me as u64);
-            let mut rng_seg = rng_fused.clone();
-            let (out_fused, _) = layer.forward(
-                &topo.graph,
-                &h_full,
-                n_in,
-                &topo.row_scale,
-                true,
-                &mut rng_fused,
-            );
-            let partial = layer.forward_inner(&topo.graph, &h_inner, true, &mut rng_seg);
-            let (out_seg, _) = layer.forward_boundary(
-                &topo.graph,
-                partial,
-                arena.boundary(),
-                &topo.row_scale,
-                true,
-                &mut rng_seg,
-            );
-            assert_bitwise(&out_fused, &out_seg, "segmented forward");
-
-            // Gradient exchange: peers' scatter-add contributions must
-            // land identically whichever order their blocks arrive in.
-            let d_bd = Matrix::random_normal(n_sel, d, 0.0, 1.0, &mut data_rng);
-            let base = Matrix::random_normal(n_in, d, 0.0, 1.0, &mut data_rng);
-            let mut g_serial = base.clone();
-            exchange_gradients_serial(&mut comm, &ex, &mut g_serial, &d_bd, scale, tag + 2);
-            let mut g_ovl = base;
-            exchange_gradients_overlapped(
-                &mut comm,
-                &ex,
-                &mut g_ovl,
-                &d_bd,
-                scale,
-                tag + 3,
-                &mut arena,
-                None,
-                WirePrecision::Exact,
-                0,
-            );
-            assert_bitwise(&g_serial, &g_ovl, "gradient exchange");
-        }
-        true
+                    // Gradient exchange: peers' scatter-add contributions must
+                    // land identically whichever order their blocks arrive in.
+                    let d_bd = Matrix::random_normal(n_sel, d, 0.0, 1.0, &mut data_rng);
+                    let base = Matrix::random_normal(n_in, d, 0.0, 1.0, &mut data_rng);
+                    let mut g_serial = base.clone();
+                    exchange_gradients_serial(&mut comm, &ex, &mut g_serial, &d_bd, scale, tag + 2)
+                        .await;
+                    let mut g_ovl = base;
+                    exchange_gradients_overlapped(
+                        &mut comm,
+                        &ex,
+                        &mut g_ovl,
+                        d_bd,
+                        scale,
+                        tag + 3,
+                        &mut arena,
+                        None,
+                        WirePrecision::Exact,
+                        0,
+                    )
+                    .await;
+                    assert_bitwise(&g_serial, &g_ovl, "gradient exchange");
+                }
+            })
+        });
+    // One worker per rank, each with its own kernel pool.
+    run_tasks(ranks.collect(), k, |_| {
+        (threads > 1).then(|| pool::install(ThreadPool::new(threads)))
     });
 }
 

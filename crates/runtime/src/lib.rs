@@ -1,45 +1,49 @@
-//! Cooperative rank scheduler: k rank tasks on a fixed OS worker set.
+//! Cooperative rank scheduler: k rank futures on a fixed OS worker set.
 //!
 //! The paper's headline experiments run at up to k=192 partitions
 //! (Fig. 3/8, Table 6). A thread-per-rank engine oversubscribes the
 //! host as soon as k exceeds the core count and starves every rank's
 //! kernel-pool share down to one thread. This crate decouples the two:
-//! each rank becomes a [`Task`] — a resumable state machine that runs
-//! until its next blocking point and then returns [`Step::Park`] — and
-//! a fixed set of workers (default `available_parallelism`, override
-//! [`ENV_WORKERS`]) polls whichever tasks are runnable. A parked task
-//! costs a queue slot, not a core; its [`Waker`] (wired into the
-//! `bns-comm` mailbox by the engine) marks it runnable again when a
-//! message arrives.
+//! each rank is a future — straight-line `async` code that returns
+//! `Poll::Pending` wherever it awaits a message — and a fixed set of
+//! workers (default `available_parallelism`, override [`ENV_WORKERS`])
+//! polls whichever futures are runnable. A parked future costs a queue
+//! slot, not a core; its [`std::task::Waker`] (registered with the
+//! `bns-comm` mailbox by the receive future) marks it runnable again
+//! when a message arrives.
 //!
 //! # Determinism
 //!
-//! The scheduler never touches task-owned data: each task is stepped by
-//! at most one worker at a time (enforced by the per-task state machine
-//! below), and each task's steps execute in program order regardless of
-//! which worker runs them or how runs interleave across tasks. A task
-//! whose per-step computation is deterministic therefore produces
-//! bitwise-identical results at any worker count — the property the
-//! engine's loss-curve pinning tests assert (DESIGN.md §12).
+//! The scheduler never touches task-owned data: each future is polled
+//! by at most one worker at a time (enforced by the per-task state
+//! machine below), and each future's code runs in program order
+//! regardless of which worker polls it or how polls interleave across
+//! tasks. A future whose computation is deterministic therefore
+//! produces bitwise-identical results at any worker count — the
+//! property the engine's loss-curve pinning tests assert (DESIGN.md
+//! §12).
 //!
 //! # Wakeup protocol
 //!
 //! Each task carries an atomic state: `Parked`, `Ready` (queued),
-//! `Running`, `Notified` (wake arrived mid-step), or `Done`. A wake on
+//! `Running`, `Notified` (wake arrived mid-poll), or `Done`. A wake on
 //! a `Parked` task enqueues it; a wake on a `Running` task flips it to
-//! `Notified` so that when its step returns [`Step::Park`] the worker
-//! re-enqueues it immediately instead of parking — the classic
-//! lost-wakeup race (message arrives between a failed `try_recv` and
-//! the park) cannot drop a task.
+//! `Notified` so that when its poll returns `Pending` the worker
+//! re-enqueues it immediately instead of parking — a message that
+//! lands between the mailbox's last check and the park cannot drop a
+//! task.
 
 // The scheduler itself holds no unsafe; the audited unsafe stays in
 // bns-tensor/bns-nn (see UNSAFE_LEDGER.md).
 #![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
 
 /// Environment variable overriding the scheduler worker count.
 pub const ENV_WORKERS: &str = "BNS_WORKERS";
@@ -85,33 +89,8 @@ impl WorkerConfig {
     }
 }
 
-/// What a task's step ended with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// More work is immediately available; re-enqueue behind the other
-    /// ready tasks (cooperative fairness point).
-    Yield,
-    /// Blocked on an external event; sleep until [`Waker::wake`].
-    Park,
-    /// The task has finished and will never be stepped again.
-    Done,
-}
-
-/// A resumable unit of work multiplexed by [`run_tasks`].
-///
-/// `step` runs the task up to its next blocking point. The scheduler
-/// guarantees steps of one task never overlap, so `&mut self` state
-/// carries across steps exactly like local variables across a blocking
-/// call in thread-per-rank code.
-pub trait Task: Send {
-    /// Called once before the first step with this task's waker.
-    fn bind(&mut self, waker: Waker) {
-        let _ = waker;
-    }
-
-    /// Runs until the next blocking point (or completion).
-    fn step(&mut self) -> Step;
-}
+/// A boxed rank future as [`run_tasks`] takes it.
+pub type BoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
 
 // Per-task scheduling states (stored in an AtomicU8).
 const PARKED: u8 = 0;
@@ -132,7 +111,7 @@ struct Shared {
     poisoned: AtomicBool,
     /// First captured panic payload, re-raised on the caller.
     panic: Mutex<Option<PanicPayload>>,
-    /// Which worker last stepped each task (steal accounting).
+    /// Which worker last polled each task (steal accounting).
     last_worker: Vec<AtomicUsize>,
     parks: AtomicU64,
     steals: AtomicU64,
@@ -151,6 +130,10 @@ impl Shared {
         drop(q);
         self.max_ready_depth.fetch_max(depth, Ordering::Relaxed);
         self.available.notify_one();
+    }
+
+    fn take_panic(&self) -> Option<PanicPayload> {
+        self.panic.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 
     fn wake(&self, idx: usize) {
@@ -183,17 +166,19 @@ impl Shared {
     }
 }
 
-/// Handle that marks one task runnable; clonable, callable from any
-/// thread (the engine stores one inside each rank's mailbox hook).
-#[derive(Clone)]
-pub struct Waker {
+/// The waker behind each task's [`Waker`]: marks task `idx` runnable
+/// (no-op if it is already queued or done). Callable from any thread.
+struct TaskWaker {
     shared: Arc<Shared>,
     idx: usize,
 }
 
-impl Waker {
-    /// Marks the task runnable (no-op if it is already queued or done).
-    pub fn wake(&self) {
+impl Wake for TaskWaker {
+    fn wake(self: Arc<Self>) {
+        self.shared.wake(self.idx);
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
         self.shared.wake(self.idx);
     }
 }
@@ -201,10 +186,10 @@ impl Waker {
 /// Counters from one [`run_tasks`] call, for `rt.*` telemetry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
-    /// Times a task parked (returned [`Step::Park`] with no pending
-    /// notify).
+    /// Times a task parked (its poll returned `Pending` with no wake
+    /// pending).
     pub parks: u64,
-    /// Times a task resumed on a different worker than its last step.
+    /// Times a task resumed on a different worker than its last poll.
     pub steals: u64,
     /// Wakes that transitioned a task to runnable.
     pub wakes: u64,
@@ -213,25 +198,35 @@ pub struct RunStats {
 }
 
 /// Runs `tasks` to completion on `workers` OS threads (the calling
-/// thread serves as worker 0; `workers - 1` are spawned). `setup(w)`
-/// runs once on each worker before it starts stepping tasks and the
-/// guard it returns is dropped when the worker drains out — the engine
-/// uses it to install each worker's kernel thread pool.
+/// thread serves as worker 0; `workers - 1` are spawned) and returns
+/// their outputs in task order. `setup(w)` runs once on each worker
+/// before it starts polling and the guard it returns is dropped when
+/// the worker drains out — the engine uses it to install each worker's
+/// kernel thread pool.
+///
+/// Task `i` is rank `i`: every poll of it runs with the telemetry
+/// thread rank set to `i`, so its spans land on rank `i`'s timeline
+/// whichever worker polls it. Futures stay alive until every task has
+/// finished (a finished rank's mailbox outlives it).
 ///
 /// The worker count is clamped to `tasks.len()` — extra workers would
 /// never have a task to run.
 ///
 /// # Panics
 ///
-/// A panic inside any task aborts the run and resurfaces on the caller
-/// (mirroring `run_ranks`'s thread-per-rank behavior).
-pub fn run_tasks<S, G>(mut tasks: Vec<Box<dyn Task + '_>>, workers: usize, setup: S) -> RunStats
+/// A panic inside any task aborts the run and resurfaces on the caller.
+pub fn run_tasks<T, S, G>(
+    tasks: Vec<BoxFuture<'_, T>>,
+    workers: usize,
+    setup: S,
+) -> (Vec<T>, RunStats)
 where
+    T: Send,
     S: Fn(usize) -> G + Sync,
 {
     let n = tasks.len();
     if n == 0 {
-        return RunStats::default();
+        return (Vec::new(), RunStats::default());
     }
     let workers = workers.clamp(1, n);
     let shared = Arc::new(Shared {
@@ -247,40 +242,40 @@ where
         wakes: AtomicU64::new(0),
         max_ready_depth: AtomicU64::new(n as u64),
     });
-    for (idx, task) in tasks.iter_mut().enumerate() {
-        task.bind(Waker {
-            shared: Arc::clone(&shared),
-            idx,
-        });
-    }
-    // Tasks are stepped by at most one worker at a time (state machine),
-    // but *which* worker migrates, so each slot is a Mutex. Steps hold
-    // the lock for their full duration; wakers never touch it.
-    let slots: Vec<Mutex<Box<dyn Task + '_>>> = tasks.into_iter().map(Mutex::new).collect();
+    let wakers: Vec<Waker> = (0..n)
+        .map(|idx| {
+            Waker::from(Arc::new(TaskWaker {
+                shared: Arc::clone(&shared),
+                idx,
+            }))
+        })
+        .collect();
+    // Each future is polled by at most one worker at a time (state
+    // machine), but *which* worker migrates, so each slot is a Mutex.
+    // Polls hold the lock for their full duration; wakers never touch
+    // it.
+    let slots: Vec<Mutex<BoxFuture<'_, T>>> = tasks.into_iter().map(Mutex::new).collect();
+    let outputs: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let run = Run {
+        shared: &shared,
+        wakers: &wakers,
+        slots: &slots,
+        outputs: &outputs,
+    };
     std::thread::scope(|scope| {
         for w in 1..workers {
-            let shared = Arc::clone(&shared);
-            let slots = &slots;
+            let run = &run;
             let setup = &setup;
             scope.spawn(move || {
                 let _guard = setup(w);
-                worker_loop(&shared, slots, w);
+                run.worker_loop(w);
             });
         }
         let _guard = setup(0);
-        worker_loop(&shared, &slots, 0);
+        run.worker_loop(0);
     });
-    // Re-raise the first captured panic on the caller, as run_ranks'
-    // join would.
-    let payload = shared
-        .panic
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        // The edge to Reader::take (whose .len() reaches the sampler
-        // `state` lock) is a name collision.
-        // bns-allow(BNS-A003): Option::take, not Reader::take
-        .take();
-    if let Some(p) = payload {
+    // Re-raise the first captured panic on the caller.
+    if let Some(p) = shared.take_panic() {
         panic::resume_unwind(p);
     }
     let stats = RunStats {
@@ -293,76 +288,94 @@ where
     bns_telemetry::counter_add("rt.steals", stats.steals);
     bns_telemetry::counter_add("rt.wakes", stats.wakes);
     bns_telemetry::gauge_set("rt.ready_depth", stats.max_ready_depth as f64);
-    stats
+    let mut results = Vec::with_capacity(n);
+    for out in outputs {
+        let out = out.into_inner().unwrap_or_else(|e| e.into_inner());
+        results.push(out.expect("every task ran to completion"));
+    }
+    (results, stats)
 }
 
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
-fn worker_loop(shared: &Shared, slots: &[Mutex<Box<dyn Task + '_>>], w: usize) {
-    loop {
-        let idx = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if shared.live.load(Ordering::SeqCst) == 0 || shared.poisoned.load(Ordering::SeqCst)
-                {
+/// What every worker of one [`run_tasks`] call shares.
+struct Run<'r, 'a, T> {
+    shared: &'r Shared,
+    wakers: &'r [Waker],
+    slots: &'r [Mutex<BoxFuture<'a, T>>],
+    outputs: &'r [Mutex<Option<T>>],
+}
+
+impl<T> Run<'_, '_, T> {
+    fn worker_loop(&self, w: usize) {
+        let shared = self.shared;
+        loop {
+            let idx = {
+                let mut q = shared.queue.lock().unwrap();
+                loop {
+                    if shared.live.load(Ordering::SeqCst) == 0
+                        || shared.poisoned.load(Ordering::SeqCst)
+                    {
+                        return;
+                    }
+                    if let Some(idx) = q.pop_front() {
+                        break idx;
+                    }
+                    // The edge to JobBatch::wait (which locks
+                    // `completed`) is a name collision.
+                    // bns-allow(BNS-A003): Condvar::wait, not JobBatch::wait
+                    q = shared.available.wait(q).unwrap();
+                }
+            };
+            shared.states[idx].store(RUNNING, Ordering::SeqCst);
+            let prev = shared.last_worker[idx].swap(w, Ordering::Relaxed);
+            if prev != usize::MAX && prev != w {
+                shared.steals.fetch_add(1, Ordering::Relaxed);
+            }
+            // Spans recorded during this poll attribute to the rank,
+            // not to whichever OS worker picked it.
+            bns_telemetry::set_thread_rank(idx);
+            let polled = {
+                let mut fut = self.slots[idx].lock().unwrap_or_else(|e| e.into_inner());
+                let mut cx = Context::from_waker(&self.wakers[idx]);
+                // AssertUnwindSafe: on Err the payload is re-raised and
+                // the run aborts, so no one observes the broken future.
+                panic::catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)))
+            };
+            match polled {
+                Err(payload) => {
+                    shared
+                        .panic
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .get_or_insert(payload);
+                    shared.poisoned.store(true, Ordering::SeqCst);
+                    shared.available.notify_all();
                     return;
                 }
-                if let Some(idx) = q.pop_front() {
-                    break idx;
-                }
-                // The edge to JobBatch::wait (which locks
-                // `completed`) is a name collision.
-                // bns-allow(BNS-A003): Condvar::wait, not JobBatch::wait
-                q = shared.available.wait(q).unwrap();
-            }
-        };
-        shared.states[idx].store(RUNNING, Ordering::SeqCst);
-        let prev = shared.last_worker[idx].swap(w, Ordering::Relaxed);
-        if prev != usize::MAX && prev != w {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-        }
-        let step = {
-            let mut task = slots[idx].lock().unwrap_or_else(|e| e.into_inner());
-            // AssertUnwindSafe: on Err the payload is re-raised and the
-            // run aborts, so no one observes the task's broken state.
-            panic::catch_unwind(AssertUnwindSafe(|| task.step()))
-        };
-        match step {
-            Err(payload) => {
-                shared
-                    .panic
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .get_or_insert(payload);
-                shared.poisoned.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
-                return;
-            }
-            Ok(Step::Done) => {
-                shared.states[idx].store(DONE, Ordering::SeqCst);
-                if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    shared.available.notify_all();
-                }
-            }
-            Ok(Step::Yield) => {
-                shared.states[idx].store(READY, Ordering::SeqCst);
-                shared.enqueue(idx);
-            }
-            Ok(Step::Park) => {
-                match shared.states[idx].compare_exchange(
-                    RUNNING,
-                    PARKED,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                ) {
-                    Ok(_) => {
-                        shared.parks.fetch_add(1, Ordering::Relaxed);
+                Ok(Poll::Ready(out)) => {
+                    *self.outputs[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+                    shared.states[idx].store(DONE, Ordering::SeqCst);
+                    if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+                        shared.available.notify_all();
                     }
-                    // A wake landed mid-step (state is NOTIFIED):
-                    // runnable again immediately.
-                    Err(_) => {
-                        shared.states[idx].store(READY, Ordering::SeqCst);
-                        shared.enqueue(idx);
+                }
+                Ok(Poll::Pending) => {
+                    match shared.states[idx].compare_exchange(
+                        RUNNING,
+                        PARKED,
+                        Ordering::SeqCst,
+                        Ordering::SeqCst,
+                    ) {
+                        Ok(_) => {
+                            shared.parks.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // A wake landed mid-poll (state is NOTIFIED):
+                        // runnable again immediately.
+                        Err(_) => {
+                            shared.states[idx].store(READY, Ordering::SeqCst);
+                            shared.enqueue(idx);
+                        }
                     }
                 }
             }
@@ -373,94 +386,78 @@ fn worker_loop(shared: &Shared, slots: &[Mutex<Box<dyn Task + '_>>], w: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::future::poll_fn;
 
-    struct Countdown {
-        left: usize,
-        hits: Arc<AtomicUsize>,
+    /// Returns `Pending` once after waking itself: a cooperative yield.
+    async fn yield_now() {
+        let mut yielded = false;
+        poll_fn(|cx| {
+            if yielded {
+                Poll::Ready(())
+            } else {
+                yielded = true;
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+        })
+        .await
     }
 
-    impl Task for Countdown {
-        fn step(&mut self) -> Step {
-            if self.left == 0 {
-                return Step::Done;
+    fn countdown(left: usize, hits: Arc<AtomicUsize>) -> BoxFuture<'static, usize> {
+        Box::pin(async move {
+            for _ in 0..left {
+                hits.fetch_add(1, Ordering::SeqCst);
+                yield_now().await;
             }
-            self.left -= 1;
-            self.hits.fetch_add(1, Ordering::SeqCst);
-            Step::Yield
-        }
+            left
+        })
     }
 
     #[test]
     fn all_tasks_run_to_completion_at_any_worker_count() {
         for workers in [1usize, 2, 8, 64] {
             let hits = Arc::new(AtomicUsize::new(0));
-            let tasks: Vec<Box<dyn Task>> = (0..12)
-                .map(|i| {
-                    Box::new(Countdown {
-                        left: i + 1,
-                        hits: Arc::clone(&hits),
-                    }) as Box<dyn Task>
-                })
+            let tasks = (0..12)
+                .map(|i| countdown(i + 1, Arc::clone(&hits)))
                 .collect();
-            let stats = run_tasks(tasks, workers, |_| ());
+            let (outputs, stats) = run_tasks(tasks, workers, |_| ());
             assert_eq!(hits.load(Ordering::SeqCst), (1..=12).sum::<usize>());
-            assert_eq!(stats.parks, 0, "yield-only tasks never park");
+            assert_eq!(
+                outputs,
+                (1..=12).collect::<Vec<_>>(),
+                "outputs in task order"
+            );
+            assert_eq!(stats.parks, 0, "self-waking tasks never park");
         }
     }
 
     /// A waits parked until B flips the flag and wakes it — on one
     /// worker this deadlocks unless parking actually releases the
     /// worker and the wake re-enqueues A.
-    struct Waiter {
-        flag: Arc<AtomicBool>,
-        waker_slot: Arc<Mutex<Option<Waker>>>,
-    }
-
-    impl Task for Waiter {
-        fn bind(&mut self, waker: Waker) {
-            *self.waker_slot.lock().unwrap() = Some(waker);
-        }
-
-        fn step(&mut self) -> Step {
-            if self.flag.load(Ordering::SeqCst) {
-                Step::Done
-            } else {
-                Step::Park
-            }
-        }
-    }
-
-    struct Setter {
-        flag: Arc<AtomicBool>,
-        peer_waker: Arc<Mutex<Option<Waker>>>,
-    }
-
-    impl Task for Setter {
-        fn step(&mut self) -> Step {
-            self.flag.store(true, Ordering::SeqCst);
-            if let Some(w) = self.peer_waker.lock().unwrap().as_ref() {
-                w.wake();
-            }
-            Step::Done
-        }
-    }
-
     #[test]
     fn park_then_wake_crosses_tasks_on_one_worker() {
         for workers in [1usize, 2] {
             let flag = Arc::new(AtomicBool::new(false));
-            let slot = Arc::new(Mutex::new(None));
-            let tasks: Vec<Box<dyn Task>> = vec![
-                Box::new(Waiter {
-                    flag: Arc::clone(&flag),
-                    waker_slot: Arc::clone(&slot),
-                }),
-                Box::new(Setter {
-                    flag: Arc::clone(&flag),
-                    peer_waker: Arc::clone(&slot),
-                }),
-            ];
-            let stats = run_tasks(tasks, workers, |_| ());
+            let slot: Arc<Mutex<Option<Waker>>> = Arc::new(Mutex::new(None));
+            let (f, s) = (Arc::clone(&flag), Arc::clone(&slot));
+            let waiter: BoxFuture<'_, ()> = Box::pin(poll_fn(move |cx| {
+                // Register, then re-check: a set between the two is
+                // still seen.
+                *s.lock().unwrap() = Some(cx.waker().clone());
+                if f.load(Ordering::SeqCst) {
+                    Poll::Ready(())
+                } else {
+                    Poll::Pending
+                }
+            }));
+            let (f, s) = (Arc::clone(&flag), Arc::clone(&slot));
+            let setter: BoxFuture<'_, ()> = Box::pin(async move {
+                f.store(true, Ordering::SeqCst);
+                if let Some(w) = s.lock().unwrap().take() {
+                    w.wake();
+                }
+            });
+            let (_, stats) = run_tasks(vec![waiter, setter], workers, |_| ());
             assert!(flag.load(Ordering::SeqCst));
             assert!(stats.wakes >= 1);
         }
@@ -477,14 +474,7 @@ mod tests {
             }
         }
         let hits = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<Box<dyn Task>> = (0..4)
-            .map(|_| {
-                Box::new(Countdown {
-                    left: 3,
-                    hits: Arc::clone(&hits),
-                }) as Box<dyn Task>
-            })
-            .collect();
+        let tasks = (0..4).map(|_| countdown(3, Arc::clone(&hits))).collect();
         run_tasks(tasks, 3, |_w| {
             setups.fetch_add(1, Ordering::SeqCst);
             Guard(Arc::clone(&drops))
@@ -496,36 +486,19 @@ mod tests {
     #[test]
     fn worker_count_is_clamped_to_task_count() {
         let hits = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<Box<dyn Task>> = vec![Box::new(Countdown {
-            left: 1,
-            hits: Arc::clone(&hits),
-        })];
         let setups = Arc::new(AtomicUsize::new(0));
-        run_tasks(tasks, 16, |_| {
+        run_tasks(vec![countdown(1, hits)], 16, |_| {
             setups.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(setups.load(Ordering::SeqCst), 1);
-    }
-
-    struct Bomb;
-    impl Task for Bomb {
-        fn step(&mut self) -> Step {
-            panic!("task exploded");
-        }
     }
 
     #[test]
     #[should_panic(expected = "task exploded")]
     fn task_panic_propagates_to_caller() {
         let hits = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<Box<dyn Task>> = vec![
-            Box::new(Countdown {
-                left: 1000,
-                hits: Arc::clone(&hits),
-            }),
-            Box::new(Bomb),
-        ];
-        run_tasks(tasks, 2, |_| ());
+        let bomb: BoxFuture<'_, usize> = Box::pin(async { panic!("task exploded") });
+        run_tasks(vec![countdown(1000, hits), bomb], 2, |_| ());
     }
 
     #[test]
@@ -541,7 +514,8 @@ mod tests {
 
     #[test]
     fn empty_task_list_returns_immediately() {
-        let stats = run_tasks(Vec::new(), 4, |_| ());
+        let (outputs, stats) = run_tasks::<(), _, _>(Vec::new(), 4, |_| ());
+        assert!(outputs.is_empty());
         assert_eq!(stats.parks + stats.steals + stats.wakes, 0);
     }
 }

@@ -56,6 +56,21 @@ pub use metrics::{
 pub use span::{current_tid, drain_spans, set_thread_rank, ArgValue, SpanEvent, SpanGuard, Timed};
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{LockResult, PoisonError};
+
+/// Poison recovery for the `std::sync` locks behind the global sinks.
+/// Every critical section leaves its map or buffer consistent, so a
+/// thread that panicked while recording must not take telemetry down
+/// for the rest of the process.
+trait Recover<G> {
+    fn recover(self) -> G;
+}
+
+impl<G> Recover<G> for LockResult<G> {
+    fn recover(self) -> G {
+        self.unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -107,14 +122,14 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     /// Telemetry state is process-global; tests that touch it take this
     /// lock so cargo's threaded test runner cannot interleave them.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn isolated() -> parking_lot::MutexGuard<'static, ()> {
-        let guard = TEST_LOCK.lock();
+    fn isolated() -> std::sync::MutexGuard<'static, ()> {
+        let guard = TEST_LOCK.lock().recover();
         reset();
         enable();
         guard
@@ -150,9 +165,26 @@ mod tests {
         assert!(inner.ts_s + inner.dur_s <= outer.ts_s + outer.dur_s + 1e-9);
     }
 
+    /// A holder that panics poisons a `std` lock; `recover` hands the
+    /// guard back anyway, so recording keeps working afterwards.
+    #[test]
+    fn recover_survives_panicking_holder() {
+        let m = std::sync::Arc::new(Mutex::new(1));
+        let m2 = std::sync::Arc::clone(&m);
+        let joined = std::thread::spawn(move || {
+            let _g = m2.lock().recover();
+            panic!("holder panics");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(m.is_poisoned());
+        *m.lock().recover() += 1;
+        assert_eq!(*m.lock().recover(), 2);
+    }
+
     #[test]
     fn disabled_capture_records_nothing() {
-        let _guard = TEST_LOCK.lock();
+        let _guard = TEST_LOCK.lock().recover();
         reset();
         disable();
         {
@@ -242,7 +274,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_shape() {
-        let _guard = TEST_LOCK.lock();
+        let _guard = TEST_LOCK.lock().recover();
         let spans = vec![
             SpanEvent {
                 name: "compute",
@@ -270,7 +302,7 @@ mod tests {
 
     #[test]
     fn flame_summary_computes_self_time() {
-        let _guard = TEST_LOCK.lock();
+        let _guard = TEST_LOCK.lock().recover();
         // outer [0, 10] contains inner [2, 5]; self(outer) = 7.
         let spans = vec![
             SpanEvent {

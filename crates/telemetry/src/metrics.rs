@@ -8,10 +8,11 @@
 //! Every write is a no-op unless capture is enabled.
 
 use crate::is_enabled;
-use parking_lot::{Mutex, RwLock};
+use crate::Recover;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, RwLock};
 
 /// A fixed-bucket histogram. `bounds[i]` is the inclusive upper edge of
 /// bucket `i`; one overflow bucket follows the last bound.
@@ -93,10 +94,15 @@ fn handle_in<T>(
     name: &'static str,
     init: impl FnOnce() -> T,
 ) -> Arc<T> {
-    if let Some(h) = map.read().get(name) {
+    if let Some(h) = map.read().recover().get(name) {
         return Arc::clone(h);
     }
-    Arc::clone(map.write().entry(name).or_insert_with(|| Arc::new(init())))
+    Arc::clone(
+        map.write()
+            .recover()
+            .entry(name)
+            .or_insert_with(|| Arc::new(init())),
+    )
 }
 
 /// Adds `delta` to the counter `name`, creating it at zero on first use.
@@ -127,6 +133,7 @@ pub fn register_histogram(name: &'static str, bounds: &[f64]) {
     registry()
         .histograms
         .write()
+        .recover()
         .insert(name, Arc::new(Histogram::new(bounds.to_vec())));
 }
 
@@ -150,6 +157,7 @@ pub fn series_push(name: &'static str, step: u64, value: f64) {
     registry()
         .series
         .lock()
+        .recover()
         .entry(name)
         .or_default()
         .push((step, value));
@@ -213,6 +221,7 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     let mut counters: Vec<(String, u64)> = registry()
         .counters
         .read()
+        .recover()
         .iter()
         .map(|(&n, c)| (n.to_string(), c.load(Ordering::Relaxed)))
         .collect();
@@ -220,6 +229,7 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     let mut gauges: Vec<(String, f64)> = registry()
         .gauges
         .read()
+        .recover()
         .iter()
         .map(|(&n, g)| (n.to_string(), f64::from_bits(g.load(Ordering::Relaxed))))
         .collect();
@@ -227,6 +237,7 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     let mut histograms: Vec<HistogramSnapshot> = registry()
         .histograms
         .read()
+        .recover()
         .iter()
         .map(|(&n, h)| HistogramSnapshot {
             name: n.to_string(),
@@ -240,6 +251,7 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     let mut series: Vec<SeriesSnapshot> = registry()
         .series
         .lock()
+        .recover()
         .iter()
         .map(|(&n, pts)| SeriesSnapshot {
             name: n.to_string(),
@@ -257,8 +269,8 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
 
 /// Clears every metric (registrations included).
 pub(crate) fn clear_metrics() {
-    registry().counters.write().clear();
-    registry().gauges.write().clear();
-    registry().histograms.write().clear();
-    registry().series.lock().clear();
+    registry().counters.write().recover().clear();
+    registry().gauges.write().recover().clear();
+    registry().histograms.write().recover().clear();
+    registry().series.lock().recover().clear();
 }

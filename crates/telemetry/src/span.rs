@@ -7,9 +7,10 @@
 //! pre-existing bookkeeping.
 
 use crate::is_enabled;
-use parking_lot::Mutex;
+use crate::Recover;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -133,7 +134,7 @@ pub fn current_tid() -> u32 {
 #[cfg(feature = "capture")]
 pub(crate) fn record(ev: SpanEvent) {
     let shard = ev.tid as usize % SHARDS;
-    COLLECTOR.shards[shard].lock().push(ev);
+    COLLECTOR.shards[shard].lock().recover().push(ev);
 }
 
 #[cfg(not(feature = "capture"))]
@@ -143,7 +144,7 @@ pub(crate) fn record(_ev: SpanEvent) {}
 pub fn drain_spans() -> Vec<SpanEvent> {
     let mut out = Vec::new();
     for shard in &COLLECTOR.shards {
-        out.append(&mut shard.lock());
+        out.append(&mut shard.lock().recover());
     }
     out.sort_by(|a, b| a.ts_s.total_cmp(&b.ts_s).then_with(|| a.tid.cmp(&b.tid)));
     out
@@ -152,7 +153,7 @@ pub fn drain_spans() -> Vec<SpanEvent> {
 /// Discards every captured span.
 pub(crate) fn clear_spans() {
     for shard in &COLLECTOR.shards {
-        shard.lock().clear();
+        shard.lock().recover().clear();
     }
 }
 

@@ -1,15 +1,14 @@
-//! BNS-A004 fixture: `Bad::step` parks on `try_recv` but `Bad::bind`
-//! never registers a waker; `Good` does and must stay silent.
+//! BNS-A004 fixture: `Bad::poll_recv` returns `Poll::Pending` after
+//! finding its mailbox empty but never registers the task's waker;
+//! `Good::poll_recv` does and must stay silent.
+
+use std::task::{Context, Poll, Waker};
 
 pub struct Mailbox;
 
 impl Mailbox {
-    pub fn try_recv(&self) -> Option<u32> {
+    pub fn take_match(&mut self) -> Option<u32> {
         None
-    }
-
-    pub fn set_waker(&self, wake: fn()) {
-        let _ = wake;
     }
 }
 
@@ -17,24 +16,28 @@ pub struct Bad {
     mbox: Mailbox,
 }
 
-impl Task for Bad {
-    fn step(&mut self) {
-        let _ = self.mbox.try_recv();
+impl Bad {
+    pub fn poll_recv(&mut self, _cx: &mut Context<'_>) -> Poll<u32> {
+        match self.mbox.take_match() {
+            Some(v) => Poll::Ready(v),
+            None => Poll::Pending,
+        }
     }
-
-    fn bind(&mut self) {}
 }
 
 pub struct Good {
     mbox: Mailbox,
+    parked: Option<Waker>,
 }
 
-impl Task for Good {
-    fn step(&mut self) {
-        let _ = self.mbox.try_recv();
-    }
-
-    fn bind(&mut self) {
-        self.mbox.set_waker(|| {});
+impl Good {
+    pub fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<u32> {
+        match self.mbox.take_match() {
+            Some(v) => Poll::Ready(v),
+            None => {
+                self.parked = Some(cx.waker().clone());
+                Poll::Pending
+            }
+        }
     }
 }

@@ -15,8 +15,9 @@
 //!   README's configuration table.
 //! * **BNS-A003 lock-order** — nested mutex acquisition in the
 //!   scheduler/transport/engine must follow one declared order.
-//! * **BNS-A004 waker-coverage** — a cooperative task whose `step` can
-//!   park on an empty mailbox must register a waker in `bind`.
+//! * **BNS-A004 waker-coverage** — a function that can return
+//!   `Poll::Pending` after finding a mailbox empty must register the
+//!   task's waker, or the parked task is never woken.
 //! * **BNS-A005 allocation-in-hot-path** — the per-epoch overlapped
 //!   exchange allocates only through the `ExchangeArena` recycler.
 //!
@@ -66,11 +67,10 @@ pub struct AnalyzeConfig {
     pub lock_order: Vec<String>,
     /// BNS-A002 variable prefix.
     pub env_prefix: String,
-    /// BNS-A004: the cooperative-task trait name.
-    pub task_trait: String,
     /// BNS-A004: mailbox receive functions that can observe "empty".
     pub recv_fns: Vec<String>,
-    /// BNS-A004: waker-registration functions.
+    /// BNS-A004: waker-registration calls (`cx.waker()` is how a poll
+    /// gets hold of the waker it registers).
     pub waker_fns: Vec<String>,
 }
 
@@ -104,19 +104,14 @@ impl AnalyzeConfig {
                 "crates/serve/src/shard.rs".into(),
                 "crates/serve/src/cache.rs".into(),
             ],
-            // The per-epoch overlapped exchange: the send side and the
-            // poll-driven receive ops that run inside the scheduler
-            // loop every epoch.
+            // The per-epoch exchange every rank awaits: the feature
+            // send side, the boundary receive (stale swap included),
+            // the gradient exchange and the selection exchange.
             hot_entries: vec![
                 "send_boundary_rows".into(),
                 "recv_boundary_blocks".into(),
-                "swap_boundary_stale".into(),
-                "SelectionOp::poll".into(),
-                "BoundaryRecvOp::begin".into(),
-                "BoundaryRecvOp::poll".into(),
-                "GradRecvOp::begin".into(),
-                "GradRecvOp::poll".into(),
-                "GradRecvOp::finish".into(),
+                "exchange_gradients_overlapped".into(),
+                "exchange_selection".into(),
             ],
             arena_allow: vec![
                 // The arena recycler is the sanctioned allocator: it
@@ -131,8 +126,6 @@ impl AnalyzeConfig {
                 // owned values by design, and its costs are metered by
                 // TrafficStats rather than banned.
                 "RankComm::send".into(),
-                "RankComm::try_recv".into(),
-                "RankComm::try_recv_any".into(),
                 "RankComm::recv".into(),
                 "RankComm::recv_any".into(),
                 // Telemetry is feature-gated and amortized; its
@@ -146,33 +139,27 @@ impl AnalyzeConfig {
                 "crates/runtime/src/".into(),
                 "crates/core/src/".into(),
             ],
-            // Outermost first. `slots` (a rank task slot, held across
-            // `step()`) must be taken before anything the step body or
-            // the scheduler touches — the serve shard/job state, the
-            // engine output slot, the run queue, and waker slots; the
+            // Outermost first. `slots` (a rank future's slot, held
+            // across its poll) must be taken before anything the poll
+            // or the scheduler touches — the serve shard/job state, the
+            // task outputs, the run queue, and the rank mailboxes; the
             // telemetry series lock is the innermost leaf.
             lock_order: vec![
                 "slots".into(),
                 "shards".into(),
                 "completed".into(),
                 "state".into(),
-                "out".into(),
+                "outputs".into(),
                 "queue".into(),
-                "waker".into(),
+                "mailboxes".into(),
                 "panic".into(),
                 "counters".into(),
                 "gauges".into(),
                 "series".into(),
             ],
             env_prefix: "BNS_".into(),
-            task_trait: "Task".into(),
-            recv_fns: vec![
-                "try_recv".into(),
-                "try_recv_any".into(),
-                "recv_any".into(),
-                "wait_message".into(),
-            ],
-            waker_fns: vec!["set_waker".into()],
+            recv_fns: vec!["take_match".into()],
+            waker_fns: vec!["waker".into()],
         }
     }
 

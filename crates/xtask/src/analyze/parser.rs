@@ -4,7 +4,7 @@
 //! the rules need, and degrades gracefully on anything else:
 //!
 //! * **Functions**: every `fn` item, with its name, enclosing `impl`
-//!   type and trait (so `BoundaryRecvOp::poll` and `Task for RankTask`
+//!   type and trait (so `RankComm::poll_match` and `Wake for TaskWaker`
 //!   are addressable), body token range, and whether it lives in test
 //!   code (`#[cfg(test)]` region or a `tests/`/`benches/` path).
 //! * **Call events** inside each body: free/path calls

@@ -523,27 +523,31 @@ pub fn lock_order(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
 pub fn waker_coverage(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
     let mut out = Vec::new();
     for (id, f) in ws.fns.iter().enumerate() {
-        if f.is_test || f.name != "step" || f.trait_name.as_deref() != Some(&cfg.task_trait) {
+        if f.is_test
+            || find_seq(&ws.files[f.file], &f.body, &["Poll", ":", ":", "Pending"]).is_empty()
+        {
             continue;
         }
-        let Some(ty) = f.impl_type.clone() else {
-            continue;
-        };
-        // Does step() transitively poll a mailbox?
+        // Can this poll find a mailbox empty? Then it must reach a
+        // waker registration, or the task it parks is never woken when
+        // the message lands (lost wakeup).
         let reach = ws.graph.reach(&[id], &[]);
         let mut recv_site: Option<(usize, usize, String)> = None;
+        let mut registers = false;
         for (&rid, _) in reach.iter() {
             let g = &ws.fns[rid];
             for ev in &g.events {
-                let name = match ev {
-                    Event::Call { segments, tok } => segments.last().map(|s| (s.clone(), *tok)),
-                    Event::MethodCall { name, tok } => Some((name.clone(), *tok)),
-                    _ => None,
+                let (name, tok) = match ev {
+                    Event::Call { segments, tok } => match segments.last() {
+                        Some(s) => (s, *tok),
+                        None => continue,
+                    },
+                    Event::MethodCall { name, tok } => (name, *tok),
+                    _ => continue,
                 };
-                let Some((name, tok)) = name else { continue };
-                if cfg.recv_fns.contains(&name) {
+                registers |= cfg.waker_fns.contains(name);
+                if cfg.recv_fns.contains(name) {
                     let line = ws.files[g.file].sig_line(tok);
-                    let candidate = (g.file, line, ws.graph.path_to(&reach, rid, &ws.fns));
                     let better = match &recv_site {
                         None => true,
                         Some((bf, bl, _)) => {
@@ -551,7 +555,8 @@ pub fn waker_coverage(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
                         }
                     };
                     if better {
-                        recv_site = Some(candidate);
+                        let path = ws.graph.path_to(&reach, rid, &ws.fns);
+                        recv_site = Some((g.file, line, path));
                     }
                 }
             }
@@ -559,42 +564,6 @@ pub fn waker_coverage(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
         let Some((rfile, rline, rpath)) = recv_site else {
             continue;
         };
-        // Then bind() must register a waker, or a parked task is never
-        // woken by a late message (lost wakeup).
-        let bind: Vec<FnId> = ws
-            .fns
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| {
-                !b.is_test && b.name == "bind" && b.impl_type.as_deref() == Some(ty.as_str())
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if bind.is_empty() {
-            out.push(finding(
-                ws,
-                A004,
-                f.file,
-                f.line,
-                format!(
-                    "`{ty}::step` can block on a mailbox receive but `{ty}` has no \
-                     `bind` registering a waker; a parked task would never be woken"
-                ),
-                Some(format!("receive reached via: {rpath}")),
-            ));
-            continue;
-        }
-        let breach = ws.graph.reach(&bind, &[]);
-        let registers = breach.keys().any(|&bid| {
-            ws.fns[bid].events.iter().any(|ev| {
-                let name = match ev {
-                    Event::Call { segments, .. } => segments.last().cloned(),
-                    Event::MethodCall { name, .. } => Some(name.clone()),
-                    _ => None,
-                };
-                name.is_some_and(|n| cfg.waker_fns.contains(&n))
-            })
-        });
         if !registers {
             out.push(finding(
                 ws,
@@ -602,9 +571,10 @@ pub fn waker_coverage(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
                 rfile,
                 rline,
                 format!(
-                    "`{ty}::step` polls a mailbox here but `{ty}::bind` never calls \
-                     {}; a task parked on an empty mailbox is never woken when the \
-                     message lands",
+                    "`{}` returns `Poll::Pending` after checking a mailbox here but never \
+                     registers the task's waker (no call to `{}`); a task parked on an \
+                     empty mailbox is never woken when the message lands",
+                    f.qualified(),
                     cfg.waker_fns.join("/")
                 ),
                 Some(format!("receive reached via: {rpath}")),

@@ -15,7 +15,7 @@
 //!    covers the SAFETY comment and the unsafe line itself, so editing
 //!    either forces a deliberate re-bless.
 //! 3. **Thread-spawn ban** — `thread::spawn` / `thread::Builder` are
-//!    confined to the communication layer (`crates/comm/src`), the
+//!    confined to the rank scheduler (`crates/runtime/src`), the
 //!    compute pool (`crates/tensor/src/pool.rs`), the serving worker
 //!    pool (`crates/serve/src/worker.rs`), and the vendored loom
 //!    scheduler. Test code (`tests/`, `benches/`, `#[cfg(test)]`
@@ -148,8 +148,6 @@ impl AuditConfig {
             root: root.to_path_buf(),
             ledger_path: root.join("UNSAFE_LEDGER.md"),
             spawn_allow: vec![
-                // The rank transport owns the per-partition threads.
-                "crates/comm/src".into(),
                 // The compute pool owns the worker threads.
                 "crates/tensor/src/pool.rs".into(),
                 // The cooperative scheduler owns the rank-task workers.
@@ -502,8 +500,9 @@ fn scan_file(cfg: &AuditConfig, rel: &str, content: &str) -> FileScan {
                 file: rel.to_string(),
                 line: lineno,
                 rule: Rule::ForbiddenSpawn,
-                message: "thread spawning is confined to bns-comm, bns-tensor::pool and \
-                          vendor/loom; use the shared pool or the rank transport"
+                message: "thread spawning is confined to bns-runtime, bns-tensor::pool, \
+                          the serve workers and vendor/loom; use the shared pool or the \
+                          rank scheduler"
                     .to_string(),
             });
         }

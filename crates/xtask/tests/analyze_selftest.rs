@@ -38,14 +38,17 @@ fn fixture_cfg(name: &str) -> AnalyzeConfig {
         root,
         skip: vec![],
         kernel_files: vec!["det_kernel.rs".into()],
-        hot_entries: vec!["hot_entry".into(), "hot_entry_allowed".into()],
+        hot_entries: vec![
+            "hot_entry".into(),
+            "hot_entry_allowed".into(),
+            "hot_entry_async".into(),
+        ],
         arena_allow: vec!["Arena::take".into()],
         lock_scope: vec!["lock_invert.rs".into()],
         lock_order: vec!["slots".into(), "queue".into()],
         env_prefix: "BNS_".into(),
-        task_trait: "Task".into(),
-        recv_fns: vec!["try_recv".into()],
-        waker_fns: vec!["set_waker".into()],
+        recv_fns: vec!["take_match".into()],
+        waker_fns: vec!["waker".into()],
     }
 }
 
@@ -92,10 +95,10 @@ fn every_rule_catches_its_seeded_fixture() {
         ]
     );
 
-    // BNS-A004: Bad's recv site flagged; Good (which registers a
-    // waker in bind) stays silent.
+    // BNS-A004: Bad's mailbox check flagged; Good (which registers
+    // `cx.waker()` before returning Pending) stays silent.
     let waker = rules_for(&report, "waker_missing.rs");
-    assert_eq!(waker, vec![("BNS-A004".into(), 22)]);
+    assert_eq!(waker, vec![("BNS-A004".into(), 21)]);
 
     // BNS-A005: all three allocation shapes in `stage`, and nothing
     // from inside the sanctioned `Arena::take` cut (line 11).
@@ -106,6 +109,13 @@ fn every_rule_catches_its_seeded_fixture() {
             ("BNS-A005".into(), 24),
             ("BNS-A005".into(), 25),
         ]
+    );
+
+    // BNS-A005 through `async fn`: the entry's own `vec!` and the
+    // awaited helper's `Vec::with_capacity`.
+    assert_eq!(
+        rules_for(&report, "async_hot.rs"),
+        vec![("BNS-A005".into(), 6), ("BNS-A005".into(), 12)]
     );
 
     // BNS-A000: the used-but-unledgered allow is blessable; the unused
@@ -155,6 +165,7 @@ fn bless_then_check_roundtrips_and_detects_tampering() {
         "lock_invert.rs".into(),
         "waker_missing.rs".into(),
         "hot_alloc.rs".into(),
+        "async_hot.rs".into(),
         "unused_allow.rs".into(),
     ];
 
