@@ -132,6 +132,16 @@ impl Shared {
         self.available.notify_one();
     }
 
+    /// Wakes every sleeping worker to re-check `live` and `poisoned`.
+    /// Workers read those under the queue lock and then sleep on
+    /// `available`, so the lock is taken first: a worker that read the
+    /// old value is then already asleep and gets the notify, instead of
+    /// missing it between its check and its wait and sleeping forever.
+    fn wake_all_workers(&self) {
+        drop(self.queue.lock().unwrap_or_else(|e| e.into_inner()));
+        self.available.notify_all();
+    }
+
     fn take_panic(&self) -> Option<PanicPayload> {
         self.panic.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
@@ -350,14 +360,14 @@ impl<T> Run<'_, '_, T> {
                         .unwrap_or_else(|e| e.into_inner())
                         .get_or_insert(payload);
                     shared.poisoned.store(true, Ordering::SeqCst);
-                    shared.available.notify_all();
+                    shared.wake_all_workers();
                     return;
                 }
                 Ok(Poll::Ready(out)) => {
                     *self.outputs[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
                     shared.states[idx].store(DONE, Ordering::SeqCst);
                     if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        shared.available.notify_all();
+                        shared.wake_all_workers();
                     }
                 }
                 Ok(Poll::Pending) => {
